@@ -16,7 +16,7 @@ from .assignment import (
     enumerate_assignments,
     observe,
 )
-from .bayes import MarginalProbs, PriorSpec
+from .bayes import PriorSpec
 from .design import ModelMatrix, build_model_matrix, treatment_combinations
 from .errors import CaseFileError, ResourceLimitError, UnsupportedRepresentationError
 from .harness import (
@@ -52,7 +52,6 @@ __all__ = [
     "Estimands",
     "GammaStructure",
     "IntervalReport",
-    "MarginalProbs",
     "ModelMatrix",
     "ObservedData",
     "PotentialTable",

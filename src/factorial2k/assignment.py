@@ -15,6 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ._checks import check_arms, whole_numbers
 from .errors import ResourceLimitError
 from .population import PotentialTable
 
@@ -34,10 +35,6 @@ class Assignment:
     def n_units(self) -> int:
         return self.arm_of.shape[0]
 
-    def units_in(self, j: int) -> np.ndarray:
-        """Indices of the units assigned to arm j."""
-        return np.flatnonzero(self.arm_of == j)
-
 
 @dataclass(frozen=True)
 class ObservedData:
@@ -49,8 +46,8 @@ class ObservedData:
 
     def __post_init__(self) -> None:
         j = 2**self.k
-        n = np.asarray(self.n, dtype=np.int64)
-        n_obs = np.asarray(self.n_obs, dtype=np.int64)
+        n = whole_numbers(self.n, "arm sizes")
+        n_obs = whole_numbers(self.n_obs, "success counts")
         if n.shape != (j,) or n_obs.shape != (j,):
             raise ValueError(f"expected {j} arm sizes and counts for K={self.k}")
         if (n < 2).any():
@@ -83,11 +80,7 @@ def draw_assignment(arms: np.ndarray, n_units: int, rng: np.random.Generator) ->
     blocks, which makes every partition into labelled groups of sizes
     n_1..n_J equally likely.
     """
-    arms = np.asarray(arms, dtype=np.int64)
-    if arms.ndim != 1 or arms.sum() != n_units:
-        raise ValueError(f"arm sizes must sum to {n_units}, got {arms.tolist()}")
-    if (arms < 2).any():
-        raise ValueError("every arm needs at least 2 units")
+    arms = check_arms(arms, n_units)
     perm = rng.permutation(n_units)
     arm_of = np.empty(n_units, dtype=np.int64)
     start = 0
@@ -105,7 +98,7 @@ def observe(table: PotentialTable, assignment: Assignment) -> ObservedData:
     n = np.bincount(assignment.arm_of, minlength=j + 1)[1:]
     n_obs = np.empty(j, dtype=np.int64)
     for arm in range(1, j + 1):
-        units = assignment.units_in(arm)
+        units = np.flatnonzero(assignment.arm_of == arm)
         n_obs[arm - 1] = table.outcomes[units, arm - 1].sum()
     return ObservedData(k=table.k, n=n, n_obs=n_obs)
 

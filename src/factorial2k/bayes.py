@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_draws, check_effect, check_level, check_matrix
 from .assignment import ObservedData
 from .design import ModelMatrix
 from .neyman import IntervalReport
-
-MIN_INTERVAL_DRAWS = 1000
 
 
 @dataclass(frozen=True)
@@ -53,23 +52,9 @@ class PriorSpec:
         return cls(alpha=np.ones(n_arms), beta=np.ones(n_arms))
 
 
-@dataclass(frozen=True)
-class MarginalProbs:
-    """Posterior draw(s) of the per-arm success probabilities.
-
-    ``pi`` has shape (J,) for a single draw or (m, J) for a batch.
-    """
-
-    pi: np.ndarray
-
-    @property
-    def is_batch(self) -> bool:
-        return self.pi.ndim == 2
-
-
 def draw_marginals(
     obs: ObservedData, prior: PriorSpec, rng: np.random.Generator, draws: int | None = None
-) -> MarginalProbs:
+) -> np.ndarray:
     """Sample the conjugate posterior of the arm probabilities.
 
     With ``draws=None`` returns a single J-vector; with ``draws=m`` an
@@ -79,28 +64,28 @@ def draw_marginals(
     a = prior.alpha + obs.n_obs
     b = prior.beta + obs.n - obs.n_obs
     size = None if draws is None else (int(draws), obs.n_arms)
-    return MarginalProbs(pi=rng.beta(a, b, size=size))
+    return rng.beta(a, b, size=size)
 
 
 def draw_effect(
     obs: ObservedData,
     matrix: ModelMatrix,
     l: int,
-    pi: MarginalProbs,
+    pi: np.ndarray,
     rng: np.random.Generator,
 ) -> float | np.ndarray:
     """Posterior-predictive draw(s) of effect l given marginal probabilities.
 
     Missing counts are drawn arm-by-arm as Binomial(N - n_j, pi_j);
-    returns a scalar for a single pi vector, an (m,) array for a batch.
+    returns a scalar for a (J,) pi vector, an (m,) array for an (m, J) one.
     """
-    _check_effect(obs, matrix, l)
-    p = np.atleast_2d(pi.pi)
-    b = rng.binomial(obs.n_units - obs.n, p)
+    check_matrix(matrix, obs.k)
+    check_effect(l, obs.n_arms)
+    b = rng.binomial(obs.n_units - obs.n, np.atleast_2d(pi))
     totals = obs.n_obs + b
     scale = 2.0 ** -(obs.k - 1) / obs.n_units
     values = scale * (totals @ matrix.entries[:, l])
-    return values if pi.is_batch else float(values[0])
+    return values if pi.ndim == 2 else float(values[0])
 
 
 def posterior_mean(obs: ObservedData, matrix: ModelMatrix, l: int, prior: PriorSpec) -> float:
@@ -110,7 +95,8 @@ def posterior_mean(obs: ObservedData, matrix: ModelMatrix, l: int, prior: PriorS
 
         2^-(K-1) N^-1 * sum_j h_lj { n_j p_hat_j + (N - n_j) p'_j }
     """
-    _check_effect(obs, matrix, l)
+    check_matrix(matrix, obs.k)
+    check_effect(l, obs.n_arms)
     _check_prior(obs, prior)
     n_prime = obs.n + prior.alpha + prior.beta
     p_prime = (obs.n_obs + prior.alpha) / n_prime
@@ -168,10 +154,8 @@ def credible_interval(
     statistics) of ``draws`` composed posterior draws; the reported
     point and variance are the exact closed forms.
     """
-    if draws < MIN_INTERVAL_DRAWS:
-        raise ValueError(f"need at least {MIN_INTERVAL_DRAWS} draws, got {draws}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"credible level must be in (0,1), got {level}")
+    check_draws(draws, obs.n_arms)
+    check_level(level)
     pi = draw_marginals(obs, prior, rng, draws=draws)
     values = draw_effect(obs, matrix, l, pi, rng)
     lower, upper = np.quantile(values, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
@@ -190,10 +174,3 @@ def credible_interval(
 def _check_prior(obs: ObservedData, prior: PriorSpec) -> None:
     if prior.alpha.shape != (obs.n_arms,):
         raise ValueError(f"prior is for {prior.alpha.shape[0]} arms, data has {obs.n_arms}")
-
-
-def _check_effect(obs: ObservedData, matrix: ModelMatrix, l: int) -> None:
-    if matrix.k != obs.k:
-        raise ValueError(f"model matrix is for K={matrix.k}, data for K={obs.k}")
-    if not 1 <= l <= obs.n_arms - 1:
-        raise ValueError(f"effect index {l} outside 1..{obs.n_arms - 1}")

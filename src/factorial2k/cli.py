@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bayes, harness, neyman, sensitivity
+from ._checks import check_effect, whole_number
 from .assignment import ObservedData
 from .design import build_model_matrix
 from .errors import ResourceLimitError
@@ -38,6 +39,7 @@ EXIT_RESOURCE = 3
 
 JSON_SIG_DIGITS = 6
 MAX_SEED = 2**64 - 1
+MAX_GRID_POINTS = 10_000
 
 # Stream keys: every RNG consumer gets a SeedSequence(seed, spawn_key=...)
 # with a distinct tag so adding consumers never shifts existing streams.
@@ -110,34 +112,34 @@ def _parse_prior(alpha: str, beta: str, n_arms: int) -> bayes.PriorSpec:
 
 
 def parse_rho_grid(spec: str) -> np.ndarray:
-    """Parse a sweep grid: ``start:stop:step`` (inclusive) or a comma list."""
+    """Parse a sweep grid, ``start:stop:step`` (inclusive) or a comma list,
+    into a nonempty vector inside [0, 1); raise ``ValueError`` otherwise."""
     spec = spec.strip()
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid must be start:stop:step, got {spec!r}")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ValueError(f"grid {spec!r} is empty or has nonpositive step")
-        count = int(round((stop - start) / step)) + 1
-        grid = np.round(start + step * np.arange(count), 12)
+        if not (0 <= start <= stop < 1 and step > 0):
+            raise ValueError(f"grid {spec!r} needs 0 <= start <= stop < 1 and a positive step")
+        steps = (stop - start) / step
+        if not steps < MAX_GRID_POINTS:
+            raise ValueError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
+        grid = np.round(start + step * np.arange(int(round(steps)) + 1), 12)
         grid = grid[grid <= stop + 1e-12]
     else:
         grid = np.asarray([float(p) for p in spec.split(",")])
-    if grid.size == 0:
-        raise ValueError(f"grid {spec!r} is empty")
-    if (grid < 0).any() or (grid >= 1).any():
+    if not ((grid >= 0) & (grid < 1)).all():  # also rejects NaN
         raise ValueError(f"grid values must lie in [0, 1), got {spec!r}")
     return grid
 
 
-def _parse_effects(spec: str, n_effects: int) -> list[int]:
+def _parse_effects(spec: str, n_arms: int) -> list[int]:
     if spec.strip().lower() == "all":
-        return list(range(1, n_effects + 1))
+        return list(range(1, n_arms))
     effects = [int(p) for p in spec.split(",")]
     for l in effects:
-        if not 1 <= l <= n_effects:
-            raise ValueError(f"effect {l} outside 1..{n_effects}")
+        check_effect(l, n_arms)
     return effects
 
 
@@ -156,10 +158,18 @@ def load_analysis_input(path: str) -> tuple[ObservedData, str | None]:
     if missing:
         raise ValueError(f"{path}: missing keys {sorted(missing)}")
     try:
-        obs = ObservedData(k=int(raw["K"]), n=np.asarray(raw["n"]), n_obs=np.asarray(raw["n_obs"]))
+        obs = ObservedData(k=whole_number(raw["K"], "K"), n=raw["n"], n_obs=raw["n_obs"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return obs, raw.get("label")
+
+
+def _csv_number(text: str) -> int | float:
+    """A CSV field as an int, or as a float when it is no int literal."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 def load_analysis_input_csv(path: str) -> tuple[ObservedData, str | None]:
@@ -174,7 +184,10 @@ def load_analysis_input_csv(path: str) -> tuple[ObservedData, str | None]:
             if len(row) != 3:
                 raise ValueError(f"{path}: row {row_no}: expected arm,size,successes")
             try:
-                arm, size, successes = (int(f) for f in row)
+                arm, size, successes = (
+                    whole_number(_csv_number(field), name)
+                    for name, field in zip(("arm", "size", "successes"), row)
+                )
             except ValueError as exc:
                 raise ValueError(f"{path}: row {row_no}: {exc}") from exc
             if arm in per_arm:
@@ -211,7 +224,7 @@ def cmd_analyze(args) -> int:
     matrix = build_model_matrix(obs.k)
     prior = _parse_prior(args.alpha, args.beta, obs.n_arms)
     seed = _parse_seed(args.seed)
-    effects = _parse_effects(args.effects, obs.n_arms - 1)
+    effects = _parse_effects(args.effects, obs.n_arms)
     grid = parse_rho_grid(args.rho_grid) if args.rho_grid else None
 
     rows = []
@@ -270,7 +283,7 @@ def _input_echo(obs: ObservedData, label: str | None) -> dict:
     return echo
 
 
-def load_gamma_csv(path: str, n_arms: int) -> sensitivity.GammaStructure:
+def load_gamma_csv(path: str) -> sensitivity.GammaStructure:
     """Read a custom JxJ association matrix from CSV."""
     rows = []
     with open(path, newline="") as handle:
@@ -281,10 +294,7 @@ def load_gamma_csv(path: str, n_arms: int) -> sensitivity.GammaStructure:
                 rows.append([float(f) for f in row])
             except ValueError as exc:
                 raise ValueError(f"{path}: row {row_no}: {exc}") from exc
-    matrix = np.asarray(rows, dtype=np.float64)
-    if matrix.shape != (n_arms, n_arms):
-        raise ValueError(f"{path}: expected a {n_arms}x{n_arms} matrix, got {matrix.shape}")
-    return sensitivity.gamma_custom(matrix)
+    return sensitivity.gamma_custom(np.asarray(rows, dtype=np.float64))
 
 
 def cmd_sensitivity(args) -> int:
@@ -305,16 +315,18 @@ def cmd_sensitivity(args) -> int:
         "seed": seed,
     }
     if args.gamma_csv:
-        structure = load_gamma_csv(args.gamma_csv, obs.n_arms)
-        reports = [_custom_gamma_interval(obs, matrix, prior, structure, args, rng)]
+        structure = load_gamma_csv(args.gamma_csv)
+        report = sensitivity.interval(
+            obs, matrix, args.effect, prior, structure, args.draws, args.level, rng
+        )
+        reports = [report]
         payload.update(
             {
                 "association": "custom",
                 "draws": args.draws,
-                "interval": _sweep_row(reports[0]),
+                "interval": _sweep_row(report),
             }
         )
-        conservative = reports[0]
     else:
         grid = parse_rho_grid(args.grid)
         result = sensitivity.sweep(
@@ -342,26 +354,6 @@ def cmd_sensitivity(args) -> int:
 
     _emit_json(payload, args.out)
     return EXIT_OK
-
-
-def _custom_gamma_interval(obs, matrix, prior, structure, args, rng) -> neyman.IntervalReport:
-    if args.draws < bayes.MIN_INTERVAL_DRAWS:
-        raise ValueError(f"need at least {bayes.MIN_INTERVAL_DRAWS} draws, got {args.draws}")
-    if not 0.0 < args.level < 1.0:
-        raise ValueError(f"credible level must be in (0,1), got {args.level}")
-    pi = bayes.draw_marginals(obs, prior, rng, draws=args.draws)
-    values = sensitivity.draw_effect(obs, matrix, args.effect, pi, structure, rng)
-    lower, upper = np.quantile(values, [(1 - args.level) / 2, (1 + args.level) / 2])
-    return neyman.IntervalReport(
-        effect=args.effect,
-        point=bayes.posterior_mean(obs, matrix, args.effect, prior),
-        variance=float(np.var(values)),
-        lower=float(lower),
-        upper=float(upper),
-        level=args.level,
-        method="bayes-sensitivity",
-        mc_draws=args.draws,
-    )
 
 
 def cmd_simulate(args) -> int:
@@ -463,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, OSError) as exc:

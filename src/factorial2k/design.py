@@ -42,16 +42,6 @@ class ModelMatrix:
     def n_arms(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def n_effects(self) -> int:
-        return self.n_arms - 1
-
-    def column(self, l: int) -> np.ndarray:
-        """Contrast column for effect ``l`` (1-based; column 0 is the mean)."""
-        if not 0 <= l < self.n_arms:
-            raise ValueError(f"column index {l} outside 0..{self.n_arms - 1}")
-        return self.entries[:, l]
-
 
 def interaction_subsets(k: int) -> list[tuple[int, ...]]:
     """Factor subsets of size >= 2, ordered by cardinality then lexicography.

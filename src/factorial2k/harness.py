@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bayes, neyman
+from ._checks import check_arms, check_effect, whole_number
 from .assignment import draw_assignment, observe
 from .design import build_model_matrix
 from .errors import CaseFileError
@@ -146,11 +147,9 @@ def coverage_experiment(
     the replication stream after the assignment draw, so the assignment
     sequence does not depend on which methods run.
     """
-    arms = np.asarray(arms, dtype=np.int64)
+    arms = check_arms(arms, case.n_units)
     if replications < 1:
         raise ValueError("need at least one replication")
-    if arms.sum() != case.n_units:
-        raise ValueError(f"arm sizes sum to {arms.sum()}, case has {case.n_units} units")
     methods = list(methods)
     for method in methods:
         if method not in METHODS:
@@ -232,10 +231,10 @@ class StudyConfig:
         elif isinstance(cases, dict):
             try:
                 cases = GeneratorSpec(
-                    n_cases=int(cases["n_cases"]),
-                    total=int(cases["N"]),
-                    cells=int(cases.get("cells", 16)),
-                    seed=int(cases["seed"]),
+                    n_cases=whole_number(cases["n_cases"], "n_cases"),
+                    total=whole_number(cases["N"], "N"),
+                    cells=whole_number(cases.get("cells", 16), "cells"),
+                    seed=whole_number(cases["seed"], "generator seed"),
                 )
             except KeyError as exc:
                 raise ValueError(f"{path}: generator spec missing key {exc}") from exc
@@ -243,13 +242,15 @@ class StudyConfig:
             raise ValueError(f"{path}: 'cases' must be a path or a generator spec object")
         return cls(
             cases=cases,
-            arms=tuple(int(a) for a in raw["arms"]),
-            effect=int(raw["effect"]),
-            replications=int(raw["replications"]),
-            seed=int(raw["seed"]),
+            arms=tuple(whole_number(a, "arms") for a in raw["arms"]),
+            effect=whole_number(raw["effect"], "effect"),
+            replications=whole_number(raw["replications"], "replications"),
+            seed=whole_number(raw["seed"], "seed"),
             level=float(raw.get("level", DEFAULT_LEVEL)),
             methods=tuple(raw.get("methods", METHODS)),
-            draws_per_rep=int(raw.get("draws_per_rep", DEFAULT_DRAWS_PER_REP)),
+            draws_per_rep=whole_number(
+                raw.get("draws_per_rep", DEFAULT_DRAWS_PER_REP), "draws_per_rep"
+            ),
         )
 
 
@@ -317,8 +318,7 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyReport:
     n_arms = 2 ** cases[0].counts.k
     if len(config.arms) != n_arms:
         raise ValueError(f"config lists {len(config.arms)} arms, cases have {n_arms}")
-    if not 1 <= config.effect <= n_arms - 1:
-        raise ValueError(f"effect index {config.effect} outside 1..{n_arms - 1}")
+    check_effect(config.effect, n_arms)
     jobs = [(case, config) for case in cases]
     if threads is None:
         threads = os.cpu_count() or 1

@@ -10,10 +10,11 @@ true sampling variance by exactly that dropped term divided by N.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
+from ._checks import check_effect, check_level, check_matrix
 from .assignment import ObservedData
 from .design import ModelMatrix
 
@@ -24,7 +25,8 @@ class IntervalReport:
 
     ``method`` is one of ``"neyman"``, ``"bayes-indep"``,
     ``"bayes-sensitivity"``.  Monte Carlo intervals carry the draw count
-    and, for sensitivity runs, the association parameter ``rho``.  For
+    and, for sensitivity runs, the AR(1) parameter ``rho`` (``None`` for a
+    custom association matrix).  For
     Monte Carlo quantile intervals the point need not sit midway, but
     lower <= upper always holds.
     """
@@ -37,7 +39,6 @@ class IntervalReport:
     level: float
     method: str
     mc_draws: int | None = None
-    seed: int | None = None
     rho: float | None = None
 
     def __post_init__(self) -> None:
@@ -52,15 +53,15 @@ class IntervalReport:
 
 
 def normal_quantile(q: float) -> float:
-    """Inverse standard normal CDF (accurate to machine precision)."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile probability must be in (0,1), got {q}")
-    return float(ndtri(q))
+    """Inverse standard normal CDF; ``statistics.StatisticsError`` (a
+    ``ValueError``) outside (0,1)."""
+    return NormalDist().inv_cdf(q)
 
 
 def point_estimate(obs: ObservedData, matrix: ModelMatrix, l: int) -> float:
     """Unbiased estimate of factorial effect l: 2^-(K-1) * h_l' p_hat."""
-    _check(obs, matrix, l)
+    check_matrix(matrix, obs.k)
+    check_effect(l, obs.n_arms)
     scale = 2.0 ** -(obs.k - 1)
     return float(scale * (matrix.entries[:, l] @ obs.p_hat))
 
@@ -79,8 +80,7 @@ def confidence_interval(
     obs: ObservedData, matrix: ModelMatrix, l: int, level: float = 0.95
 ) -> IntervalReport:
     """Wald interval: point +/- z_(1+level)/2 * sqrt(variance estimate)."""
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level must be in (0,1), got {level}")
+    check_level(level)
     point = point_estimate(obs, matrix, l)
     variance = variance_estimate(obs)
     half = normal_quantile(0.5 + level / 2.0) * float(np.sqrt(variance))
@@ -93,10 +93,3 @@ def confidence_interval(
         level=level,
         method="neyman",
     )
-
-
-def _check(obs: ObservedData, matrix: ModelMatrix, l: int) -> None:
-    if matrix.k != obs.k:
-        raise ValueError(f"model matrix is for K={matrix.k}, data for K={obs.k}")
-    if not 1 <= l <= obs.n_arms - 1:
-        raise ValueError(f"effect index {l} outside 1..{obs.n_arms - 1}")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_arms, check_effect, check_matrix, whole_numbers
 from .design import ModelMatrix
 from .errors import UnsupportedRepresentationError
 
@@ -62,7 +63,7 @@ class CellCounts:
                 f"cell counts need 2^(2^K) entries; K={self.k} not supported (max {MAX_CELL_FACTORS})"
             )
         n_cells = 2 ** (2**self.k)
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = whole_numbers(self.counts, "cell counts")
         if counts.ndim != 1 or counts.shape[0] != n_cells:
             raise ValueError(f"expected {n_cells} cell counts for K={self.k}, got shape {counts.shape}")
         if (counts < 0).any():
@@ -87,8 +88,7 @@ class Estimands:
     tau: np.ndarray
 
     def effect(self, l: int) -> float:
-        if not 1 <= l <= self.tau.shape[0]:
-            raise ValueError(f"effect index {l} outside 1..{self.tau.shape[0]}")
+        check_effect(l, self.tau.shape[0] + 1)
         return float(self.tau[l - 1])
 
 
@@ -110,8 +110,6 @@ def from_cell_counts(counts: CellCounts) -> PotentialTable:
     Rows appear in ascending cell-index order (the canonical unit
     ordering), with ``counts[w]`` copies of pattern w.
     """
-    if counts.n_units < 1:
-        raise ValueError("cell counts must describe at least one unit")
     patterns = cell_patterns(counts.k)
     outcomes = np.repeat(patterns, counts.counts, axis=0)
     return PotentialTable(k=counts.k, outcomes=outcomes)
@@ -140,7 +138,7 @@ def estimands(table: PotentialTable, matrix: ModelMatrix) -> Estimands:
     Effect l is the contrast 2^-(K-1) * h_l' p, equivalently the mean
     over units of the individual-level effects.
     """
-    _check_dims(table, matrix)
+    check_matrix(matrix, table.k)
     p = table.outcomes.mean(axis=0)
     scale = 2.0 ** -(table.k - 1)
     tau = scale * (matrix.entries[:, 1:].T @ p)
@@ -149,8 +147,8 @@ def estimands(table: PotentialTable, matrix: ModelMatrix) -> Estimands:
 
 def individual_effects(table: PotentialTable, matrix: ModelMatrix, l: int) -> np.ndarray:
     """Unit-level factorial effects 2^-(K-1) * h_l' Y_i, one per unit."""
-    _check_dims(table, matrix)
-    _check_effect(table, l)
+    check_matrix(matrix, table.k)
+    check_effect(l, table.n_arms)
     scale = 2.0 ** -(table.k - 1)
     return scale * (table.outcomes @ matrix.entries[:, l])
 
@@ -185,16 +183,13 @@ def sampling_variance(
     This is a population quantity; it needs the full table and is the
     target the conservative observed-data estimator is judged against.
     """
-    arms = np.asarray(arms, dtype=np.int64)
-    n = table.n_units
-    if arms.shape != (table.n_arms,) or arms.sum() != n:
-        raise ValueError(f"arm sizes must be a {table.n_arms}-vector summing to {n}")
-    if (arms < 2).any():
-        raise ValueError("every arm needs at least 2 units")
-    _check_effect(table, l)
+    arms = check_arms(arms, table.n_units)
+    if arms.shape != (table.n_arms,):
+        raise ValueError(f"expected {table.n_arms} arm sizes, got {arms.shape[0]}")
+    check_effect(l, table.n_arms)
     s2 = arm_variances(table)
     scale = 4.0 ** -(table.k - 1)
-    return float(scale * (s2 / arms).sum() - effect_variation(table, matrix, l) / n)
+    return float(scale * (s2 / arms).sum() - effect_variation(table, matrix, l) / table.n_units)
 
 
 def pairwise_covariance(table: PotentialTable, j: int, j_other: int) -> float:
@@ -210,13 +205,3 @@ def pairwise_covariance(table: PotentialTable, j: int, j_other: int) -> float:
     y1 = table.outcomes[:, j - 1]
     y2 = table.outcomes[:, j_other - 1]
     return float(((y1 - y1.mean()) * (y2 - y2.mean())).sum() / (n - 1))
-
-
-def _check_dims(table: PotentialTable, matrix: ModelMatrix) -> None:
-    if matrix.k != table.k:
-        raise ValueError(f"model matrix is for K={matrix.k}, table for K={table.k}")
-
-
-def _check_effect(table: PotentialTable, l: int) -> None:
-    if not 1 <= l <= table.n_arms - 1:
-        raise ValueError(f"effect index {l} outside 1..{table.n_arms - 1}")

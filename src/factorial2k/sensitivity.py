@@ -24,14 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_draws, check_effect, check_level, check_matrix
 from .assignment import ObservedData
-from .bayes import (
-    MIN_INTERVAL_DRAWS,
-    MarginalProbs,
-    PriorSpec,
-    draw_marginals,
-    posterior_mean,
-)
+from .bayes import PriorSpec, draw_marginals, posterior_mean
 from .design import ModelMatrix
 from .neyman import IntervalReport
 
@@ -47,8 +42,7 @@ class GammaStructure:
     """Pairwise association matrix; off-diagonal entries in [0, 1)."""
 
     gamma: np.ndarray  # (J, J) symmetric, diagonal unused (stored as 0)
-    kind: str  # "ar1" | "custom"
-    rho: float | None = None
+    rho: float | None = None  # AR(1) parameter; None for a custom matrix
 
     def __post_init__(self) -> None:
         g = np.asarray(self.gamma, dtype=np.float64)
@@ -74,25 +68,17 @@ def gamma_ar1(rho: float, n_arms: int) -> GammaStructure:
     idx = np.arange(n_arms)
     dist = np.abs(idx[:, None] - idx[None, :])
     gamma = np.where(dist == 0, 0.0, float(rho) ** dist)
-    return GammaStructure(gamma=gamma, kind="ar1", rho=float(rho))
+    return GammaStructure(gamma=gamma, rho=float(rho))
 
 
 def gamma_custom(matrix: np.ndarray) -> GammaStructure:
     """Wrap a user-supplied association matrix (diagonal is ignored)."""
     g = np.array(matrix, dtype=np.float64)
     np.fill_diagonal(g, 0.0)
-    return GammaStructure(gamma=g, kind="custom")
+    return GammaStructure(gamma=g)
 
 
-@dataclass(frozen=True)
-class ConditionalProbs:
-    """Pr{target arm = 1} given the conditioning arm's observed value."""
-
-    given_one: float | np.ndarray
-    given_zero: float | np.ndarray
-
-
-def conditional_probs(pi_cond, pi_target, gamma) -> ConditionalProbs:
+def conditional_probs(pi_cond, pi_target, gamma) -> tuple:
     """Conditional success probabilities of a target arm given another arm.
 
     For conditioning marginal pi_j in (0,1), target marginal pi_j' and
@@ -101,8 +87,9 @@ def conditional_probs(pi_cond, pi_target, gamma) -> ConditionalProbs:
         Pr{j'=1 | j=1} = (1-g) pi_j' + g min(1, pi_j' / pi_j)
         Pr{j'=1 | j=0} = (1-g) pi_j' + g max(pi_j' - pi_j, 0) / (1 - pi_j)
 
-    All arguments broadcast; pi_cond exactly 0 or 1 is rejected because
-    one branch would condition on a null event.
+    Returns ``(given_one, given_zero)``; all arguments broadcast.  pi_cond
+    exactly 0 or 1 is rejected because one branch would condition on a
+    null event.
     """
     pi_cond = np.asarray(pi_cond, dtype=np.float64)
     pi_target = np.asarray(pi_target, dtype=np.float64)
@@ -114,16 +101,16 @@ def conditional_probs(pi_cond, pi_target, gamma) -> ConditionalProbs:
     if (gamma < 0).any() or (gamma >= 1).any():
         raise ValueError("association must lie in [0, 1)")
     base = (1.0 - gamma) * pi_target
-    given_one = base + gamma * np.minimum(1.0, pi_target / pi_cond)
+    given_one = base + gamma * (np.minimum(pi_cond, pi_target) / pi_cond)
     given_zero = base + gamma * np.maximum(pi_target - pi_cond, 0.0) / (1.0 - pi_cond)
     if given_one.ndim == 0:
-        return ConditionalProbs(given_one=float(given_one), given_zero=float(given_zero))
-    return ConditionalProbs(given_one=given_one, given_zero=given_zero)
+        return float(given_one), float(given_zero)
+    return given_one, given_zero
 
 
 def imputed_counts(
     obs: ObservedData,
-    pi: MarginalProbs,
+    pi: np.ndarray,
     gamma: GammaStructure,
     rng: np.random.Generator,
 ) -> np.ndarray:
@@ -143,7 +130,7 @@ def imputed_counts(
         raise ValueError(
             f"association matrix is {gamma.n_arms}x{gamma.n_arms}, data has {obs.n_arms} arms"
         )
-    p = np.atleast_2d(np.clip(pi.pi, MARGINAL_EPS, 1.0 - MARGINAL_EPS))
+    p = np.atleast_2d(np.clip(pi, MARGINAL_EPS, 1.0 - MARGINAL_EPS))
     n_draws, n_arms = p.shape
     imputed = np.zeros((n_draws, n_arms))
     for target in range(n_arms):
@@ -151,11 +138,9 @@ def imputed_counts(
             if cond == target:
                 continue
             g = gamma.gamma[cond, target]
-            cp = conditional_probs(p[:, cond], p[:, target], g)
-            imputed[:, target] += rng.binomial(int(obs.n_obs[cond]), cp.given_one)
-            imputed[:, target] += rng.binomial(
-                int(obs.n[cond] - obs.n_obs[cond]), cp.given_zero
-            )
+            given_one, given_zero = conditional_probs(p[:, cond], p[:, target], g)
+            imputed[:, target] += rng.binomial(int(obs.n_obs[cond]), given_one)
+            imputed[:, target] += rng.binomial(int(obs.n[cond] - obs.n_obs[cond]), given_zero)
     return imputed
 
 
@@ -163,7 +148,7 @@ def draw_effect(
     obs: ObservedData,
     matrix: ModelMatrix,
     l: int,
-    pi: MarginalProbs,
+    pi: np.ndarray,
     gamma: GammaStructure,
     rng: np.random.Generator,
 ) -> float | np.ndarray:
@@ -173,11 +158,47 @@ def draw_effect(
     tau_l = 2^-(K-1) N^-1 sum_j h_lj (n_j^obs + C_j).  Zero association
     reproduces the independent-model draw distribution.
     """
-    _check(obs, matrix, gamma, l)
+    check_matrix(matrix, obs.k)
+    check_effect(l, obs.n_arms)
     totals = obs.n_obs + imputed_counts(obs, pi, gamma, rng)
     scale = 2.0 ** -(obs.k - 1) / obs.n_units
     values = scale * (totals @ matrix.entries[:, l])
-    return values if pi.is_batch else float(values[0])
+    return values if pi.ndim == 2 else float(values[0])
+
+
+def interval(
+    obs: ObservedData,
+    matrix: ModelMatrix,
+    l: int,
+    prior: PriorSpec,
+    structure: GammaStructure,
+    draws: int,
+    level: float,
+    rng: np.random.Generator,
+) -> IntervalReport:
+    """Equal-tailed credible interval for effect l under one association.
+
+    Draws the marginals, then the imputations, from ``rng``.  The point is
+    the closed-form posterior mean, which the association does not shift;
+    the variance is the Monte Carlo sample variance.
+    """
+    check_draws(draws, obs.n_arms)
+    check_level(level)
+    point = posterior_mean(obs, matrix, l, prior)
+    pi = draw_marginals(obs, prior, rng, draws=draws)
+    values = draw_effect(obs, matrix, l, pi, structure, rng)
+    lower, upper = np.quantile(values, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
+    return IntervalReport(
+        effect=l,
+        point=point,
+        variance=float(np.var(values)),
+        lower=float(lower),
+        upper=float(upper),
+        level=level,
+        method="bayes-sensitivity",
+        mc_draws=draws,
+        rho=structure.rho,
+    )
 
 
 @dataclass(frozen=True)
@@ -198,51 +219,19 @@ def sweep(
     level: float,
     rng: np.random.Generator,
 ) -> SweepResult:
-    """Credible intervals across a grid of association strengths.
+    """:func:`interval` at every point of an AR(1) association grid.
 
     Each grid point uses an independent child RNG stream (spawned in
     grid order), so the result is reproducible and independent of any
     parallel scheduling.  The summary interval is the widest one; ties
-    go to the smallest rho.  The reported point estimate is the
-    closed-form posterior mean, which the association does not shift;
-    the reported variance is the Monte Carlo sample variance.
+    go to the smallest rho.
     """
     grid = np.asarray(rho_grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("rho grid must be a nonempty vector")
-    if draws < MIN_INTERVAL_DRAWS:
-        raise ValueError(f"need at least {MIN_INTERVAL_DRAWS} draws, got {draws}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"credible level must be in (0,1), got {level}")
-    point = posterior_mean(obs, matrix, l, prior)
-    q = [(1.0 - level) / 2.0, (1.0 + level) / 2.0]
-    reports = []
-    for rho, stream in zip(grid, rng.spawn(grid.size)):
-        structure = gamma_ar1(float(rho), obs.n_arms)
-        pi = draw_marginals(obs, prior, stream, draws=draws)
-        values = draw_effect(obs, matrix, l, pi, structure, stream)
-        lower, upper = np.quantile(values, q)
-        reports.append(
-            IntervalReport(
-                effect=l,
-                point=point,
-                variance=float(np.var(values)),
-                lower=float(lower),
-                upper=float(upper),
-                level=level,
-                method="bayes-sensitivity",
-                mc_draws=draws,
-                rho=float(rho),
-            )
-        )
+    reports = [
+        interval(obs, matrix, l, prior, gamma_ar1(float(rho), obs.n_arms), draws, level, stream)
+        for rho, stream in zip(grid, rng.spawn(grid.size))
+    ]
     widest = max(reports, key=lambda r: r.width)  # first max wins ties
     return SweepResult(reports=reports, conservative=widest)
-
-
-def _check(obs: ObservedData, matrix: ModelMatrix, gamma: GammaStructure, l: int) -> None:
-    if matrix.k != obs.k:
-        raise ValueError(f"model matrix is for K={matrix.k}, data for K={obs.k}")
-    if gamma.n_arms != obs.n_arms:
-        raise ValueError(f"association matrix is {gamma.n_arms}x{gamma.n_arms}, data has {obs.n_arms} arms")
-    if not 1 <= l <= obs.n_arms - 1:
-        raise ValueError(f"effect index {l} outside 1..{obs.n_arms - 1}")

@@ -226,18 +226,18 @@ def test_criterion_7_conditional_probability_laws():
             np.meshgrid(pi_cond, pi_target, gammas, indexing="ij"), axis=-1
         ).reshape(-1, 3)
         assert grid.shape[0] == 4000
-        cp = sensitivity.conditional_probs(grid[:, 0], grid[:, 1], grid[:, 2])
-        assert ((cp.given_one >= 0) & (cp.given_one <= 1)).all()
-        assert ((cp.given_zero >= 0) & (cp.given_zero <= 1)).all()
-        total = cp.given_one * grid[:, 0] + cp.given_zero * (1 - grid[:, 0])
+        given_one, given_zero = sensitivity.conditional_probs(grid[:, 0], grid[:, 1], grid[:, 2])
+        assert ((given_one >= 0) & (given_one <= 1)).all()
+        assert ((given_zero >= 0) & (given_zero <= 1)).all()
+        total = given_one * grid[:, 0] + given_zero * (1 - grid[:, 0])
         np.testing.assert_allclose(total, grid[:, 1], atol=1e-12)
         joint = (1 - grid[:, 2]) * grid[:, 0] * grid[:, 1] + grid[:, 2] * np.minimum(
             grid[:, 0], grid[:, 1]
         )
-        np.testing.assert_allclose(grid[:, 0] * cp.given_one, joint, atol=1e-12)
-        at_zero = sensitivity.conditional_probs(grid[:, 0], grid[:, 1], 0.0)
-        assert (at_zero.given_one == grid[:, 1]).all()
-        assert (at_zero.given_zero == grid[:, 1]).all()
+        np.testing.assert_allclose(grid[:, 0] * given_one, joint, atol=1e-12)
+        zero_one, zero_zero = sensitivity.conditional_probs(grid[:, 0], grid[:, 1], 0.0)
+        assert (zero_one == grid[:, 1]).all()
+        assert (zero_zero == grid[:, 1]).all()
 
 
 def test_criterion_8_variance_domination():

@@ -3,7 +3,6 @@ import pytest
 
 from factorial2k import ObservedData
 from factorial2k.bayes import (
-    MarginalProbs,
     PriorSpec,
     credible_interval,
     draw_effect,
@@ -52,7 +51,7 @@ class TestDrawMarginals:
         mean = 101 / 202
         variance = mean * (1 - mean) / 203  # Beta(101, 101) posterior
         for j in range(4):
-            column = pi.pi[:, j]
+            column = pi[:, j]
             assert abs(column.mean() - mean) <= 4 * mc_se_mean(column)
             assert abs(column.var() - variance) <= 4 * mc_se_variance(column)
 
@@ -61,7 +60,7 @@ class TestDrawMarginals:
         rng = np.random.default_rng(9)
         pi = draw_marginals(obs, PriorSpec.uniform(4), rng, draws=100_000)
         for j in range(4):
-            column = pi.pi[:, j]
+            column = pi[:, j]
             assert abs(column.mean() - 51 / 52) <= 4 * mc_se_mean(column)
 
     def test_degenerate_prior_limit(self):
@@ -69,12 +68,12 @@ class TestDrawMarginals:
         prior = PriorSpec(alpha=np.full(4, 1e-6), beta=np.full(4, 1e-6))
         rng = np.random.default_rng(10)
         pi = draw_marginals(obs, prior, rng, draws=100_000)
-        assert pi.pi.mean() == pytest.approx(0.0, abs=1e-5)
+        assert pi.mean() == pytest.approx(0.0, abs=1e-5)
 
     def test_single_draw_shape(self, trial_obs):
         pi = draw_marginals(trial_obs, PriorSpec.uniform(4), np.random.default_rng(0))
-        assert pi.pi.shape == (4,)
-        assert not pi.is_batch
+        assert pi.shape == (4,)
+        assert pi.ndim != 2
 
 
 class TestDrawEffect:
@@ -82,7 +81,7 @@ class TestDrawEffect:
         # all observed outcomes are successes and pi = 1 everywhere, so every
         # arm total is N and every contrast collapses to zero
         obs = ObservedData(k=2, n=np.array([3, 4, 5, 8]), n_obs=np.array([3, 4, 5, 8]))
-        pi = MarginalProbs(pi=np.ones((100, 4)))
+        pi = np.ones((100, 4))
         rng = np.random.default_rng(11)
         for l in (1, 2, 3):
             values = draw_effect(obs, h2, l, pi, rng)
@@ -90,12 +89,12 @@ class TestDrawEffect:
 
     def test_certain_failure_gives_zero(self, h2):
         obs = ObservedData(k=2, n=np.array([3, 4, 5, 8]), n_obs=np.zeros(4, dtype=int))
-        pi = MarginalProbs(pi=np.zeros((100, 4)))
+        pi = np.zeros((100, 4))
         values = draw_effect(obs, h2, 1, pi, np.random.default_rng(12))
         np.testing.assert_allclose(values, 0.0, atol=1e-15)
 
     def test_mean_at_observed_rates_matches_point_estimate(self, trial_obs, h2):
-        pi = MarginalProbs(pi=np.tile(trial_obs.p_hat, (100_000, 1)))
+        pi = np.tile(trial_obs.p_hat, (100_000, 1))
         values = draw_effect(trial_obs, h2, 2, pi, np.random.default_rng(13))
         target = point_estimate(trial_obs, h2, 2)
         assert abs(values.mean() - target) <= 4 * mc_se_mean(values)

@@ -7,6 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from factorial2k import bayes, cli
 from factorial2k.data import data_path
 
 from test_harness import toy_rows, write_toy_config
@@ -174,6 +175,92 @@ class TestSensitivity:
         assert csv_first == (tmp_path / "s.csv").read_text()
 
 
+class TestInputValidation:
+    """Outside input is never coerced: non-integral counts exit 2."""
+
+    BAD_COUNTS = [
+        ([10.7, 10.2], [3.9, 1]),
+        ([10, 10], [3, True]),
+        ([10, 10], [3, float("nan")]),
+    ]
+
+    @pytest.mark.parametrize("n, n_obs", BAD_COUNTS)
+    def test_json_input(self, tmp_path, capsys, n, n_obs):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"K": 1, "n": n, "n_obs": n_obs}))
+        assert cli.main(["analyze", "--input", str(path), "--seed", "1"]) == 2
+        assert "not a whole number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, n_obs", BAD_COUNTS)
+    def test_csv_input(self, tmp_path, capsys, n, n_obs):
+        path = tmp_path / "bad.csv"
+        rows = [f"{arm},{size},{count}" for arm, (size, count) in enumerate(zip(n, n_obs), 1)]
+        path.write_text("arm,size,successes\n" + "\n".join(rows) + "\n")
+        assert cli.main(["analyze", "--from-csv", str(path), "--seed", "1"]) == 2
+        assert "row " in capsys.readouterr().err
+
+    def test_fractional_k(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"K": 1.5, "n": [10, 10], "n_obs": [3, 4]}))
+        assert cli.main(["analyze", "--input", str(path), "--seed", "1"]) == 2
+        assert "K: 1.5 is not a whole number" in capsys.readouterr().err
+
+    def test_integral_floats_match_integers(self, tmp_path, capsys):
+        as_ints = tmp_path / "ints.json"
+        as_ints.write_text(json.dumps({"K": 1, "n": [10, 12], "n_obs": [3, 4]}))
+        as_floats = tmp_path / "floats.csv"
+        as_floats.write_text("arm,size,successes\n1,10.0,3.0\n2,12,4.0\n")
+        args = ["analyze", "--seed", "1", "--draws", "1000"]
+        assert cli.main([*args, "--input", str(as_ints)]) == 0
+        first = capsys.readouterr().out
+        assert cli.main([*args, "--from-csv", str(as_floats)]) == 0
+        assert capsys.readouterr().out == first
+
+    def test_wrong_size_gamma_matrix(self, tmp_path, capsys):
+        gamma = tmp_path / "gamma.csv"
+        gamma.write_text("0,0.5\n0.5,0\n")
+        argv = [
+            "sensitivity", "--input", str(AHLUWALIA), "--effect", "1", "--gamma-csv", str(gamma),
+            "--draws", "1000", "--seed", "1", "--csv-out", str(tmp_path / "s.csv"),
+        ]
+        assert cli.main(argv) == 2
+        assert "association matrix is 2x2, data has 4 arms" in capsys.readouterr().err
+
+    def test_study_config(self, tmp_path):
+        config = write_toy_config(tmp_path, toy_rows(1), effect=1.9)
+        cp = run_cli("simulate", "--config", config, "--out-csv", tmp_path / "c.csv")
+        assert cp.returncode == 2
+        assert "effect: 1.9 is not a whole number" in cp.stderr
+
+
+class TestResourceLimits:
+    """Oversized requests exit 3 with a message, never with a traceback."""
+
+    HUGE = "100000000000"
+
+    def test_analyze_draws(self, capsys):
+        argv = ["analyze", "--input", str(AHLUWALIA), "--seed", "1", "--draws", self.HUGE]
+        assert cli.main(argv) == 3
+        assert "exceed the bound" in capsys.readouterr().err
+
+    def test_sensitivity_draws(self, tmp_path, capsys):
+        argv = [
+            "sensitivity", "--input", str(AHLUWALIA), "--effect", "2", "--seed", "1",
+            "--draws", self.HUGE, "--csv-out", str(tmp_path / "s.csv"),
+        ]
+        assert cli.main(argv) == 3
+        assert "exceed the bound" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_memory_error_maps_to_exit_3(self, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("simulated allocation failure")
+
+        monkeypatch.setattr(bayes, "credible_interval", exhausted)
+        assert cli.main(["analyze", "--input", str(AHLUWALIA), "--seed", "1"]) == 3
+        assert "simulated allocation failure" in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_toy_config_outputs(self, tmp_path):
         config = write_toy_config(tmp_path, toy_rows(3))
@@ -246,6 +333,17 @@ class TestGenCases:
 
 
 class TestEntryPoints:
+    def test_cli_import_leaves_scipy_out(self):
+        """numpy is the only runtime dependency: a fresh interpreter that
+        imports the CLI must not load scipy."""
+        code = (
+            "import sys, factorial2k.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout.strip() == "[]"
+
     def test_version_flag(self):
         cp = run_cli("--version")
         assert cp.returncode == 0

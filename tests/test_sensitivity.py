@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from factorial2k import ObservedData
-from factorial2k.bayes import MarginalProbs, PriorSpec, draw_marginals, posterior_mean
+from factorial2k.bayes import PriorSpec, draw_marginals, posterior_mean
 from factorial2k.bayes import draw_effect as draw_effect_indep
 from factorial2k.sensitivity import (
     conditional_probs,
@@ -10,6 +10,7 @@ from factorial2k.sensitivity import (
     gamma_ar1,
     gamma_custom,
     imputed_counts,
+    interval,
     sweep,
 )
 
@@ -60,25 +61,25 @@ def quadrature_draw_mean(obs, matrix, l, prior, rho):
 
 class TestConditionalProbs:
     def test_symmetric_midpoint(self):
-        cp = conditional_probs(0.5, 0.5, 0.5)
-        assert cp.given_one == pytest.approx(0.75, abs=1e-15)
-        assert cp.given_zero == pytest.approx(0.25, abs=1e-15)
-        total = cp.given_one * 0.5 + cp.given_zero * 0.5
+        given_one, given_zero = conditional_probs(0.5, 0.5, 0.5)
+        assert given_one == pytest.approx(0.75, abs=1e-15)
+        assert given_zero == pytest.approx(0.25, abs=1e-15)
+        total = given_one * 0.5 + given_zero * 0.5
         assert total == pytest.approx(0.5, abs=1e-15)
 
     def test_zero_association_is_independence(self):
         rng = np.random.default_rng(30)
         for _ in range(100):
             pi_j, pi_jp = rng.uniform(0.01, 0.99, size=2)
-            cp = conditional_probs(pi_j, pi_jp, 0.0)
-            assert cp.given_one == pi_jp
-            assert cp.given_zero == pi_jp
+            given_one, given_zero = conditional_probs(pi_j, pi_jp, 0.0)
+            assert given_one == pi_jp
+            assert given_zero == pi_jp
 
     def test_asymmetric_example(self):
-        cp = conditional_probs(0.8, 0.4, 0.5)
-        assert cp.given_one == pytest.approx(0.45, abs=1e-15)
-        assert cp.given_zero == pytest.approx(0.20, abs=1e-15)
-        total = cp.given_one * 0.8 + cp.given_zero * 0.2
+        given_one, given_zero = conditional_probs(0.8, 0.4, 0.5)
+        assert given_one == pytest.approx(0.45, abs=1e-15)
+        assert given_zero == pytest.approx(0.20, abs=1e-15)
+        total = given_one * 0.8 + given_zero * 0.2
         assert total == pytest.approx(0.4, abs=1e-15)
 
     def test_total_probability_and_joint_form_on_grid(self):
@@ -90,23 +91,23 @@ class TestConditionalProbs:
         for pi_j in probs:
             for pi_jp in probs:
                 for g in gammas:
-                    cp = conditional_probs(pi_j, pi_jp, g)
-                    assert 0.0 <= cp.given_one <= 1.0
-                    assert 0.0 <= cp.given_zero <= 1.0
-                    total = cp.given_one * pi_j + cp.given_zero * (1 - pi_j)
+                    given_one, given_zero = conditional_probs(pi_j, pi_jp, g)
+                    assert 0.0 <= given_one <= 1.0
+                    assert 0.0 <= given_zero <= 1.0
+                    total = given_one * pi_j + given_zero * (1 - pi_j)
                     assert total == pytest.approx(pi_jp, abs=1e-12)
                     joint = (1 - g) * pi_j * pi_jp + g * min(pi_j, pi_jp)
-                    assert pi_j * cp.given_one == pytest.approx(joint, abs=1e-12)
+                    assert pi_j * given_one == pytest.approx(joint, abs=1e-12)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(31)
         pi_j = rng.uniform(0.05, 0.95, size=50)
         pi_jp = rng.uniform(0.0, 1.0, size=50)
-        cp = conditional_probs(pi_j, pi_jp, 0.3)
+        given_one, given_zero = conditional_probs(pi_j, pi_jp, 0.3)
         for i in range(50):
-            single = conditional_probs(pi_j[i], pi_jp[i], 0.3)
-            assert cp.given_one[i] == pytest.approx(single.given_one, abs=1e-15)
-            assert cp.given_zero[i] == pytest.approx(single.given_zero, abs=1e-15)
+            single_one, single_zero = conditional_probs(pi_j[i], pi_jp[i], 0.3)
+            assert given_one[i] == pytest.approx(single_one, abs=1e-15)
+            assert given_zero[i] == pytest.approx(single_zero, abs=1e-15)
 
     def test_rejects_degenerate_conditioning_marginal(self):
         for bad in (0.0, 1.0):
@@ -122,7 +123,7 @@ class TestGammaStructures:
     def test_ar1_zero(self):
         g = gamma_ar1(0.0, 4)
         assert (g.gamma == 0).all()
-        assert g.kind == "ar1"
+        assert g.rho is not None
         assert g.rho == 0.0
 
     def test_ar1_powers(self):
@@ -143,7 +144,7 @@ class TestGammaStructures:
     def test_custom_accepts_valid_matrix(self):
         matrix = np.array([[0.9, 0.2], [0.2, 0.9]])  # diagonal ignored
         g = gamma_custom(matrix)
-        assert g.kind == "custom"
+        assert g.rho is None
         assert g.gamma[0, 1] == 0.2
         assert g.gamma[0, 0] == 0.0
 
@@ -186,7 +187,7 @@ class TestDrawEffect:
         association makes imputations track the observed outcomes and the
         draws concentrate."""
         obs = ObservedData(k=2, n=np.full(4, 200), n_obs=np.full(4, 100))
-        pi = MarginalProbs(pi=np.full((50_000, 4), 0.5))
+        pi = np.full((50_000, 4), 0.5)
         rng = np.random.default_rng(34)
         tight = draw_effect(obs, h2, 1, pi, gamma_ar1(0.99, 4), rng)
         loose = draw_effect(obs, h2, 1, pi, gamma_ar1(0.0, 4), rng)
@@ -276,3 +277,30 @@ class TestSweep:
                 trial_obs, h2, 1, PriorSpec.uniform(4), [0.5, 1.2], 2000, 0.95,
                 np.random.default_rng(0),
             )
+
+
+class TestInterval:
+    def test_custom_matrix_reproduces_sweep_rows(self, trial_obs, h2):
+        """One interval path: a custom matrix equal to the AR(1) preset,
+        drawn from the stream the sweep spawns for that grid point, gives
+        exactly the sweep's row."""
+        prior = PriorSpec.uniform(4)
+        grid = [0.0, 0.35, 0.7]
+        result = sweep(trial_obs, h2, 2, prior, grid, 3000, 0.9, np.random.default_rng(42))
+        streams = np.random.default_rng(42).spawn(len(grid))
+        for rho, stream, row in zip(grid, streams, result.reports):
+            custom = gamma_custom(gamma_ar1(rho, 4).gamma)
+            report = interval(trial_obs, h2, 2, prior, custom, 3000, 0.9, stream)
+            assert (report.lower, report.upper) == (row.lower, row.upper)
+            assert (report.point, report.variance) == (row.point, row.variance)
+            assert report.rho is None and row.rho == rho
+
+    def test_report_fields(self, trial_obs, h2):
+        prior = PriorSpec.uniform(4)
+        report = interval(
+            trial_obs, h2, 1, prior, gamma_ar1(0.25, 4), 2000, 0.8, np.random.default_rng(43)
+        )
+        assert report.method == "bayes-sensitivity"
+        assert (report.effect, report.level, report.mc_draws, report.rho) == (1, 0.8, 2000, 0.25)
+        assert report.point == posterior_mean(trial_obs, h2, 1, prior)
+        assert report.lower < report.upper
