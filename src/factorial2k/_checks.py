@@ -11,9 +11,10 @@ from .errors import ResourceLimitError
 
 MIN_INTERVAL_DRAWS = 1000
 
-# Upper bound on draws x J for one Monte Carlo interval.  An interval
-# holds a few (draws, J) float64 arrays at once; at this many cells each
-# takes 256 MiB.
+# Upper bound on the cells of one interval's arrays: draws x J for a
+# Monte Carlo interval, lattice points for an exact one.  An interval
+# holds a few such float64 arrays at once; at this many cells each takes
+# 256 MiB.
 MAX_DRAW_CELLS = 2**25
 
 
@@ -40,6 +41,14 @@ def check_draws(draws: int, n_arms: int) -> None:
     if draws * n_arms > MAX_DRAW_CELLS:
         raise ResourceLimitError(
             f"{draws} draws x {n_arms} arms exceed the bound of {MAX_DRAW_CELLS} cells"
+        )
+
+
+def check_lattice(points: int) -> None:
+    """Lattice size of an exact interval; its padded FFT arrays stay in bound."""
+    if points > MAX_DRAW_CELLS:
+        raise ResourceLimitError(
+            f"a lattice of {points} points exceeds the bound of {MAX_DRAW_CELLS} cells"
         )
 
 

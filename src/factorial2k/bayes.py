@@ -10,9 +10,13 @@ and recombines with the observed successes:
     step 2:  B_j   ~ Binomial(N - n_j, pi_j)
              tau_l = 2^-(K-1) N^-1 * sum_j h_lj (n_j^obs + B_j)
 
-The posterior predictive mean and variance of tau_l also have closed
-forms (``posterior_mean`` / ``posterior_variance``); the Monte Carlo
-path and the closed forms cross-validate each other in the test suite.
+Integrating out pi_j instead leaves B_j ~ Beta-Binomial(N - n_j,
+alpha_j + n_j^obs, beta_j + n_j - n_j^obs), so tau_l has an exact law
+on a finite lattice (``predictive_pmf``); the commands read their
+interval off it (``exact_interval``).  The mean and variance of tau_l
+also have closed forms (``posterior_mean`` / ``posterior_variance``);
+the draws, the exact law and the closed forms cross-validate each other
+in the test suite.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_draws, check_effect, check_level, check_matrix
+from ._checks import check_draws, check_effect, check_lattice, check_level, check_matrix
 from .assignment import ObservedData
-from .design import ModelMatrix
+from .design import ModelMatrix, lattice_step
 from .neyman import IntervalReport
 
 
@@ -39,6 +43,11 @@ class PriorSpec:
         beta = np.asarray(self.beta, dtype=np.float64)
         if alpha.ndim != 1 or alpha.shape != beta.shape:
             raise ValueError("alpha and beta must be vectors of equal length")
+        if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+            raise ValueError(
+                f"Beta prior hyperparameters must be finite, got alpha={alpha.tolist()}, "
+                f"beta={beta.tolist()}"
+            )
         if (alpha <= 0).any() or (beta <= 0).any():
             raise ValueError("Beta hyperparameters must be strictly positive")
         object.__setattr__(self, "alpha", alpha)
@@ -83,8 +92,7 @@ def draw_effect(
     check_effect(l, obs.n_arms)
     b = rng.binomial(obs.n_units - obs.n, np.atleast_2d(pi))
     totals = obs.n_obs + b
-    scale = 2.0 ** -(obs.k - 1) / obs.n_units
-    values = scale * (totals @ matrix.entries[:, l])
+    values = lattice_step(obs.k, obs.n_units) * (totals @ matrix.entries[:, l])
     return values if pi.ndim == 2 else float(values[0])
 
 
@@ -101,8 +109,7 @@ def posterior_mean(obs: ObservedData, matrix: ModelMatrix, l: int, prior: PriorS
     n_prime = obs.n + prior.alpha + prior.beta
     p_prime = (obs.n_obs + prior.alpha) / n_prime
     contrib = obs.n_obs + (obs.n_units - obs.n) * p_prime
-    scale = 2.0 ** -(obs.k - 1) / obs.n_units
-    return float(scale * (matrix.entries[:, l] @ contrib))
+    return float(lattice_step(obs.k, obs.n_units) * (matrix.entries[:, l] @ contrib))
 
 
 def posterior_variance(obs: ObservedData, prior: PriorSpec) -> float:
@@ -148,11 +155,9 @@ def credible_interval(
     level: float,
     rng: np.random.Generator,
 ) -> IntervalReport:
-    """Equal-tailed posterior-predictive credible interval for effect l.
-
-    Bounds are sample quantiles (linear interpolation between order
-    statistics) of ``draws`` composed posterior draws; the reported
-    point and variance are the exact closed forms.
+    """Monte Carlo counterpart of :func:`exact_interval`, kept as its
+    reference: bounds are sample quantiles (linear interpolation between
+    order statistics) of ``draws`` composed posterior draws.
     """
     check_draws(draws, obs.n_arms)
     check_level(level)
@@ -169,6 +174,77 @@ def credible_interval(
         method="bayes-indep",
         mc_draws=draws,
     )
+
+
+def predictive_pmf(
+    obs: ObservedData, matrix: ModelMatrix, l: int, prior: PriorSpec
+) -> tuple[int, np.ndarray]:
+    """Exact posterior-predictive law of effect l: tau_l equals
+    ``lattice_step(K, N) * (offset + i)`` with probability ``pmf[i]``.
+
+    The pmf convolves the arms' Beta-Binomial laws, each reversed where
+    h_lj = -1 (B_j then enters as (N - n_j) - B_j, its shift in ``offset``).
+    """
+    check_matrix(matrix, obs.k)
+    check_effect(l, obs.n_arms)
+    _check_prior(obs, prior)
+    missing = obs.n_units - obs.n
+    check_lattice(int(missing.sum()) + 1)
+    signs = matrix.entries[:, l]
+    offset = int(signs @ obs.n_obs - missing[signs < 0].sum())
+    a = prior.alpha + obs.n_obs
+    b = prior.beta + obs.n - obs.n_obs
+    pmfs = [_beta_binomial(*arm)[::sign] for arm, sign in zip(zip(missing, a, b), signs)]
+    while len(pmfs) > 1:  # pairwise, so operands grow evenly; J is a power of 2
+        pmfs = [_convolve(x, y) for x, y in zip(pmfs[::2], pmfs[1::2])]
+    return offset, pmfs[0]
+
+
+def exact_interval(
+    obs: ObservedData, matrix: ModelMatrix, l: int, prior: PriorSpec, level: float
+) -> IntervalReport:
+    """Equal-tailed posterior-predictive credible interval for effect l.
+
+    Each bound is an exact discrete quantile of :func:`predictive_pmf`:
+    the smallest lattice value whose CDF is at least (1 -/+ level) / 2.
+    The point and variance are the closed forms.
+    """
+    check_level(level)
+    offset, pmf = predictive_pmf(obs, matrix, l, prior)
+    # CDF(i) >= q is tested as P(X <= i) >= q for the lower bound and as
+    # P(X > i) <= 1 - q for the upper one, each tail summed from its own
+    # end; so q = 1.0 yields the support maximum, and no index passes it.
+    at_least = np.cumsum(pmf[::-1])[::-1]  # P(X >= i)
+    lower = np.count_nonzero(np.cumsum(pmf) < (1.0 - level) / 2.0)
+    upper = np.count_nonzero(at_least[1:] > 1.0 - (1.0 + level) / 2.0)
+    step = lattice_step(obs.k, obs.n_units)
+    return IntervalReport(
+        effect=l,
+        point=posterior_mean(obs, matrix, l, prior),
+        variance=posterior_variance(obs, prior),
+        lower=step * int(offset + lower),
+        upper=step * int(offset + upper),
+        level=level,
+        method="bayes-indep",
+    )
+
+
+def _beta_binomial(m: int, a: float, b: float) -> np.ndarray:
+    """Beta-Binomial(m, a, b) probabilities of 0..m, built from the ratios
+    p(x+1) / p(x) = (m - x)(x + a) / ((x + 1)(m - 1 - x + b)) in log space."""
+    x = np.arange(m)
+    log_ratio = np.log((m - x) * (x + a)) - np.log((x + 1) * (m - 1 - x + b))
+    log_p = np.concatenate(([0.0], np.cumsum(log_ratio)))
+    p = np.exp(log_p - log_p.max())
+    return p / p.sum()
+
+
+def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Linear convolution of two pmfs by real FFT."""
+    n = x.size + y.size - 1
+    size = 1 << (n - 1).bit_length()
+    z = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(y, size), size)[:n]
+    return np.maximum(z, 0.0)  # round-off leaves tiny negatives in the tails
 
 
 def _check_prior(obs: ObservedData, prior: PriorSpec) -> None:

@@ -43,7 +43,8 @@ MAX_GRID_POINTS = 10_000
 
 # Stream keys: every RNG consumer gets a SeedSequence(seed, spawn_key=...)
 # with a distinct tag so adding consumers never shifts existing streams.
-_KEY_INDEP = 1
+# Tag 1 is retired (the independent-model interval is exact); the sweep
+# keeps tag 2, so its streams do not shift.
 _KEY_SWEEP = 2
 
 
@@ -230,9 +231,7 @@ def cmd_analyze(args) -> int:
     rows = []
     for l in effects:
         ney = neyman.confidence_interval(obs, matrix, l, args.level)
-        cred = bayes.credible_interval(
-            obs, matrix, l, prior, args.draws, args.level, _substream(seed, _KEY_INDEP, l)
-        )
+        cred = bayes.exact_interval(obs, matrix, l, prior, args.level)
         row = {
             "effect": l,
             "neyman": _interval_dict(ney),
@@ -257,7 +256,6 @@ def cmd_analyze(args) -> int:
             "command": "analyze",
             "input": _input_echo(obs, label),
             "level": args.level,
-            "draws": args.draws,
             "prior": {"alpha": prior.alpha.tolist(), "beta": prior.beta.tolist()},
             "seed": seed,
             "effects": rows,
@@ -416,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="Neymanian and Bayesian intervals for each effect")
     add_input_flags(p)
-    p.add_argument("--draws", type=int, default=200_000, help="posterior draws (default 200000)")
     p.add_argument("--effects", default="all", help='effect selector: "all" or comma list')
     p.add_argument("--rho-grid", help="optional association sweep grid, e.g. 0:0.99:0.01")
     p.add_argument(

@@ -79,6 +79,13 @@ def build_model_matrix(k: int) -> ModelMatrix:
     return ModelMatrix(k=k, entries=np.column_stack(cols))
 
 
+def lattice_step(k: int, n_units: int) -> float:
+    """Spacing of effect values over N units: effect l is this step times
+    the integer sum_j h_lj x (successes under arm j), and computing every
+    effect as ``step * integer`` makes equal lattice points equal floats."""
+    return 2.0 ** -(k - 1) / n_units
+
+
 def treatment_combinations(matrix: ModelMatrix) -> np.ndarray:
     """The J treatment combinations as a (J, K) array of -1/+1 levels.
 

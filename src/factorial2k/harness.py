@@ -26,23 +26,22 @@ import numpy as np
 from . import bayes, neyman
 from ._checks import check_arms, check_effect, whole_number
 from .assignment import draw_assignment, observe
-from .design import build_model_matrix
+from .design import build_model_matrix, lattice_step
 from .errors import CaseFileError
-from .population import CellCounts, estimands, from_cell_counts
+from .population import CellCounts, from_cell_counts
 
 METHODS = ("neyman", "bayes-indep")
 COVERAGE_CSV_COLUMNS = ("case_id", "method", "coverage", "mean_width")
-
-# Per-replication Bayesian intervals use a modest draw count: quantile
-# noise at 2000 draws moves coverage by well under one part in a
-# thousand while keeping a 100-case x 500-replication study fast.
-DEFAULT_DRAWS_PER_REP = 2000
 DEFAULT_LEVEL = 0.95
 
 
 @dataclass(frozen=True)
 class SimulationCase:
-    """One finite population plus its pre-computed true effects."""
+    """One finite population plus its pre-computed true effects.
+
+    The true effects are lattice values (``design.lattice_step`` times an
+    integer), so an exact interval endpoint equal to one is the same float.
+    """
 
     case_id: int
     counts: CellCounts
@@ -50,9 +49,10 @@ class SimulationCase:
 
     @classmethod
     def from_counts(cls, case_id: int, counts: CellCounts) -> "SimulationCase":
-        table = from_cell_counts(counts)
-        matrix = build_model_matrix(counts.k)
-        return cls(case_id=case_id, counts=counts, true_effects=estimands(table, matrix).tau)
+        totals = from_cell_counts(counts).outcomes.sum(axis=0)
+        contrasts = totals @ build_model_matrix(counts.k).entries[:, 1:]
+        true_effects = lattice_step(counts.k, counts.n_units) * contrasts
+        return cls(case_id=case_id, counts=counts, true_effects=true_effects)
 
     @property
     def n_units(self) -> int:
@@ -136,16 +136,13 @@ def coverage_experiment(
     replications: int,
     level: float,
     methods,
-    draws_per_rep: int,
     rng: np.random.Generator,
 ) -> list[CoverageReport]:
     """Replicate randomization + inference on one case; report coverage.
 
-    Each replication draws a fresh assignment, observes the outcomes,
-    and builds one interval per requested method.  An interval covers
-    when lower <= true effect <= upper.  The Bayesian interval consumes
-    the replication stream after the assignment draw, so the assignment
-    sequence does not depend on which methods run.
+    Each replication draws a fresh assignment from its own stream,
+    observes the outcomes, and builds one interval per requested method.
+    An interval covers when lower <= true effect <= upper.
     """
     arms = check_arms(arms, case.n_units)
     if replications < 1:
@@ -167,9 +164,7 @@ def coverage_experiment(
             if method == "neyman":
                 report = neyman.confidence_interval(obs, matrix, l, level)
             else:
-                report = bayes.credible_interval(
-                    obs, matrix, l, prior, draws_per_rep, level, stream
-                )
+                report = bayes.exact_interval(obs, matrix, l, prior, level)
             covered[method] += report.lower <= true_value <= report.upper
             width_sum[method] += report.width
     return [
@@ -205,7 +200,6 @@ class StudyConfig:
     seed: int
     level: float = DEFAULT_LEVEL
     methods: tuple[str, ...] = METHODS
-    draws_per_rep: int = DEFAULT_DRAWS_PER_REP
 
     @classmethod
     def from_json(cls, path) -> "StudyConfig":
@@ -218,7 +212,7 @@ class StudyConfig:
             raise ValueError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: config must be a JSON object")
-        known = {"cases", "arms", "effect", "replications", "seed", "level", "methods", "draws_per_rep"}
+        known = {"cases", "arms", "effect", "replications", "seed", "level", "methods"}
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
@@ -240,17 +234,25 @@ class StudyConfig:
                 raise ValueError(f"{path}: generator spec missing key {exc}") from exc
         else:
             raise ValueError(f"{path}: 'cases' must be a path or a generator spec object")
+        methods = raw.get("methods", list(METHODS))
+        level = raw.get("level", DEFAULT_LEVEL)
+        for key, value in (("arms", raw["arms"]), ("methods", methods)):
+            if not isinstance(value, list):
+                raise ValueError(f"{path}: '{key}' must be a JSON list, got {value!r}")
+        if not methods:
+            raise ValueError(f"{path}: 'methods' must name at least one method")
+        if any(methods.count(m) > 1 for m in methods):
+            raise ValueError(f"{path}: 'methods' lists a method twice: {methods}")
+        if isinstance(level, bool) or not isinstance(level, (int, float)):
+            raise ValueError(f"{path}: 'level' must be a number, got {level!r}")
         return cls(
             cases=cases,
             arms=tuple(whole_number(a, "arms") for a in raw["arms"]),
             effect=whole_number(raw["effect"], "effect"),
             replications=whole_number(raw["replications"], "replications"),
             seed=whole_number(raw["seed"], "seed"),
-            level=float(raw.get("level", DEFAULT_LEVEL)),
-            methods=tuple(raw.get("methods", METHODS)),
-            draws_per_rep=whole_number(
-                raw.get("draws_per_rep", DEFAULT_DRAWS_PER_REP), "draws_per_rep"
-            ),
+            level=float(level),
+            methods=tuple(methods),
         )
 
 
@@ -303,7 +305,6 @@ def _case_worker(args) -> list[CoverageReport]:
         config.replications,
         config.level,
         config.methods,
-        config.draws_per_rep,
         rng,
     )
 

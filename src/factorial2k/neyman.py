@@ -25,10 +25,10 @@ class IntervalReport:
 
     ``method`` is one of ``"neyman"``, ``"bayes-indep"``,
     ``"bayes-sensitivity"``.  Monte Carlo intervals carry the draw count
-    and, for sensitivity runs, the AR(1) parameter ``rho`` (``None`` for a
-    custom association matrix).  For
-    Monte Carlo quantile intervals the point need not sit midway, but
-    lower <= upper always holds.
+    (``None`` for exact ones) and, for sensitivity runs, the AR(1)
+    parameter ``rho`` (``None`` for a custom association matrix).  For
+    quantile intervals the point need not sit midway, but lower <= upper
+    always holds.
     """
 
     effect: int

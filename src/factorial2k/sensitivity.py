@@ -27,7 +27,7 @@ import numpy as np
 from ._checks import check_draws, check_effect, check_level, check_matrix
 from .assignment import ObservedData
 from .bayes import PriorSpec, draw_marginals, posterior_mean
-from .design import ModelMatrix
+from .design import ModelMatrix, lattice_step
 from .neyman import IntervalReport
 
 # Drawn marginals are clamped into [EPS, 1-EPS] before conditioning;
@@ -48,6 +48,8 @@ class GammaStructure:
         g = np.asarray(self.gamma, dtype=np.float64)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("association matrix must be square")
+        if not np.isfinite(g).all():
+            raise ValueError("association matrix entries must be finite")
         if not np.array_equal(g, g.T):
             raise ValueError("association matrix must be symmetric")
         off = ~np.eye(g.shape[0], dtype=bool)
@@ -161,8 +163,7 @@ def draw_effect(
     check_matrix(matrix, obs.k)
     check_effect(l, obs.n_arms)
     totals = obs.n_obs + imputed_counts(obs, pi, gamma, rng)
-    scale = 2.0 ** -(obs.k - 1) / obs.n_units
-    values = scale * (totals @ matrix.entries[:, l])
+    values = lattice_step(obs.k, obs.n_units) * (totals @ matrix.entries[:, l])
     return values if pi.ndim == 2 else float(values[0])
 
 

@@ -4,13 +4,7 @@ import pytest
 from factorial2k import CellCounts, ObservedData, from_cell_counts
 from factorial2k.design import build_model_matrix
 
-# First two bundled fixture populations, used as known-answer inputs.
-CASE_1 = (33, 12, 0, 63, 18, 93, 63, 118, 53, 41, 44, 71, 67, 58, 58, 8)
-CASE_2 = (52, 61, 10, 57, 111, 64, 22, 25, 11, 67, 85, 39, 7, 107, 57, 25)
-
-# 2x2 smoking-cessation trial: (gum, counseling) arms, quit counts at 26 weeks.
-TRIAL_N = (189, 188, 189, 189)
-TRIAL_N_OBS = (13, 29, 19, 34)
+from helpers import CASE_1, TRIAL_N, TRIAL_N_OBS
 
 
 @pytest.fixture(scope="session")
@@ -26,19 +20,3 @@ def trial_obs():
 @pytest.fixture(scope="session")
 def case1_table():
     return from_cell_counts(CellCounts(k=2, counts=np.array(CASE_1)))
-
-
-def random_table(rng, n_units, k=2):
-    """Random binary potential-outcome table, never fully degenerate."""
-    from factorial2k import PotentialTable
-
-    outcomes = rng.integers(0, 2, size=(n_units, 2**k))
-    return PotentialTable(k=k, outcomes=outcomes)
-
-
-def random_observed(rng, k=2, min_n=5, max_n=60):
-    """Random observed dataset with arm sizes in [min_n, max_n]."""
-    j = 2**k
-    n = rng.integers(min_n, max_n + 1, size=j)
-    n_obs = rng.binomial(n, rng.uniform(0.05, 0.95, size=j))
-    return ObservedData(k=k, n=n, n_obs=n_obs)

@@ -24,7 +24,7 @@ from factorial2k import ObservedData, enumerate_assignments, observe
 from factorial2k import bayes, harness, neyman, sensitivity
 from factorial2k.data import data_path
 
-from conftest import random_table
+from helpers import random_table
 from test_bayes import mc_se_mean, mc_se_variance
 from test_cli import run_cli
 from test_harness import toy_rows, write_toy_config
@@ -91,10 +91,7 @@ def test_criterion_1_trial_neyman_interval(trial_obs, h2):
 
 def test_criterion_2_trial_independent_bayes(trial_obs, h2):
     with criterion("2 (trial independent Bayes interval)", budget_seconds=10.0):
-        rng = np.random.default_rng(np.random.SeedSequence(MASTER_SEED, spawn_key=(2,)))
-        cred = bayes.credible_interval(
-            trial_obs, h2, 2, bayes.PriorSpec.uniform(4), 200_000, 0.95, rng
-        )
+        cred = bayes.exact_interval(trial_obs, h2, 2, bayes.PriorSpec.uniform(4), 0.95)
         ney = neyman.confidence_interval(trial_obs, h2, 2, 0.95)
         assert cred.lower == pytest.approx(0.041, abs=5e-3)
         assert cred.upper == pytest.approx(0.123, abs=5e-3)
@@ -261,8 +258,7 @@ def test_criterion_8_variance_domination():
 def test_criterion_9_cli_determinism(tmp_path):
     with criterion("9 (CLI byte-identical under fixed seed and threads)", 300.0):
         # analyze: two consecutive runs
-        args = ("analyze", "--input", data_path("ahluwalia.json"), "--seed", "7",
-                "--draws", "20000")
+        args = ("analyze", "--input", data_path("ahluwalia.json"), "--seed", "7")
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
         # sensitivity: stdout and CSV

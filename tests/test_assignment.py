@@ -11,7 +11,7 @@ from factorial2k import (
     observe,
 )
 
-from conftest import random_table
+from helpers import random_table
 
 
 class TestDrawAssignment:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,16 @@ from factorial2k.bayes import (
     credible_interval,
     draw_effect,
     draw_marginals,
+    exact_interval,
     posterior_mean,
     posterior_variance,
     posterior_variance_large_n,
+    predictive_pmf,
 )
+from factorial2k.design import build_model_matrix, lattice_step
 from factorial2k.neyman import point_estimate, variance_estimate
 
-from conftest import random_observed
+from helpers import random_observed
 
 
 def mc_se_mean(values):
@@ -37,6 +42,13 @@ class TestPriorSpec:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             PriorSpec(alpha=np.array([1.0, 0.0]), beta=np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="Beta prior hyperparameters must be finite"):
+            PriorSpec(alpha=np.array([1.0, bad]), beta=np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="Beta prior hyperparameters must be finite"):
+            PriorSpec(alpha=np.array([1.0, 1.0]), beta=np.array([bad, 1.0]))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -214,4 +226,123 @@ class TestCredibleInterval:
         prior = PriorSpec.uniform(4)
         wide = credible_interval(trial_obs, h2, 2, prior, 20_000, 0.95, np.random.default_rng(21))
         narrow = credible_interval(trial_obs, h2, 2, prior, 20_000, 0.50, np.random.default_rng(21))
+        assert wide.lower <= narrow.lower <= narrow.upper <= wide.upper
+
+
+def lgamma_effect_pmf(obs, matrix, l, prior):
+    """Reference law of effect l: Beta-Binomial pmfs from math.lgamma,
+    convolved one arm at a time; returns (offset, pmf) like predictive_pmf."""
+    signs = matrix.entries[:, l]
+    offset = 0
+    pmf = np.ones(1)
+    for sign, size, successes, a, b in zip(signs, obs.n, obs.n_obs, prior.alpha, prior.beta):
+        m = obs.n_units - int(size)
+        a, b = a + successes, b + size - successes
+        arm = np.array([
+            math.exp(
+                math.lgamma(m + 1) - math.lgamma(x + 1) - math.lgamma(m - x + 1)
+                + math.lgamma(x + a) + math.lgamma(m - x + b) - math.lgamma(m + a + b)
+                + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+            )
+            for x in range(m + 1)
+        ])
+        offset += int(sign) * int(successes)
+        if sign < 0:
+            arm = arm[::-1]
+            offset -= m
+        pmf = np.convolve(pmf, arm)
+    return offset, pmf
+
+
+def pmf_moments(obs, offset, pmf):
+    values = lattice_step(obs.k, obs.n_units) * (offset + np.arange(pmf.size))
+    mean = pmf @ values
+    return mean, pmf @ (values - mean) ** 2
+
+
+def random_datasets(seed, count=40):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k = int(rng.integers(1, 4))
+        obs = random_observed(rng, k=k, min_n=2, max_n=40)
+        prior = PriorSpec(
+            alpha=rng.uniform(0.2, 3.0, size=2**k), beta=rng.uniform(0.2, 3.0, size=2**k)
+        )
+        yield obs, build_model_matrix(k), prior
+
+
+class TestPredictivePmf:
+    def test_sums_to_one(self, trial_obs, h2):
+        for l in (1, 2, 3):
+            _, pmf = predictive_pmf(trial_obs, h2, l, PriorSpec.uniform(4))
+            assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+            assert (pmf >= 0).all()
+
+    def test_matches_lgamma_convolution(self, trial_obs, h2):
+        cases = [(trial_obs, h2, PriorSpec.uniform(4))] + list(random_datasets(30, count=10))
+        for obs, matrix, prior in cases:
+            for l in range(1, obs.n_arms):
+                offset, pmf = predictive_pmf(obs, matrix, l, prior)
+                ref_offset, ref_pmf = lgamma_effect_pmf(obs, matrix, l, prior)
+                assert offset == ref_offset
+                assert pmf.shape == ref_pmf.shape
+                assert np.abs(pmf - ref_pmf).max() < 1e-12
+
+    def test_moments_match_closed_forms(self, trial_obs, h2):
+        """Mean to 1e-12 of the posterior sd or of the mean, whichever is
+        larger (a mean near zero has no relative scale of its own);
+        variance to 1e-12 relative."""
+        cases = [(trial_obs, h2, PriorSpec.uniform(4))] + list(random_datasets(31))
+        for obs, matrix, prior in cases:
+            variance = posterior_variance(obs, prior)
+            for l in range(1, obs.n_arms):
+                mean, pmf_variance = pmf_moments(obs, *predictive_pmf(obs, matrix, l, prior))
+                expected = posterior_mean(obs, matrix, l, prior)
+                assert abs(mean - expected) <= 1e-12 * max(abs(expected), math.sqrt(variance))
+                assert pmf_variance == pytest.approx(variance, rel=1e-12)
+
+
+class TestExactInterval:
+    def test_trial_interval(self, trial_obs, h2):
+        report = exact_interval(trial_obs, h2, 2, PriorSpec.uniform(4), 0.95)
+        assert (f"{report.lower:.6g}", f"{report.upper:.6g}") == ("0.0410596", "0.123179")
+        assert report.method == "bayes-indep"
+        assert report.mc_draws is None
+        assert report.point == posterior_mean(trial_obs, h2, 2, PriorSpec.uniform(4))
+        assert report.variance == posterior_variance(trial_obs, PriorSpec.uniform(4))
+
+    def test_endpoints_are_exact_quantiles_on_the_lattice(self, trial_obs, h2):
+        prior = PriorSpec.uniform(4)
+        for obs, matrix, prior in [(trial_obs, h2, prior), *random_datasets(32, count=10)]:
+            step = lattice_step(obs.k, obs.n_units)
+            for l in range(1, obs.n_arms):
+                offset, pmf = predictive_pmf(obs, matrix, l, prior)
+                report = exact_interval(obs, matrix, l, prior, 0.9)
+                lower, upper = (round(v / step) - offset for v in (report.lower, report.upper))
+                assert (report.lower, report.upper) == (step * (offset + lower), step * (offset + upper))
+                assert 0 <= lower <= upper < pmf.size
+                # smallest i with P(X <= i) >= 0.05, and with P(X > i) <= 0.05
+                assert math.fsum(pmf[: lower + 1]) >= 0.05 > math.fsum(pmf[:lower])
+                assert math.fsum(pmf[upper + 1 :]) <= 1.0 - 0.95 < math.fsum(pmf[upper:])
+
+    def test_tail_rounding_to_one_returns_support_maximum(self, trial_obs, h2):
+        level = float(np.nextafter(1.0, 0.0))
+        assert (1.0 + level) / 2.0 == 1.0
+        prior = PriorSpec.uniform(4)
+        offset, pmf = predictive_pmf(trial_obs, h2, 2, prior)
+        report = exact_interval(trial_obs, h2, 2, prior, level)
+        assert report.upper == lattice_step(2, trial_obs.n_units) * (offset + pmf.size - 1)
+
+    def test_agrees_with_monte_carlo(self, trial_obs, h2):
+        prior = PriorSpec.uniform(4)
+        exact = exact_interval(trial_obs, h2, 2, prior, 0.95)
+        sampled = credible_interval(trial_obs, h2, 2, prior, 200_000, 0.95, np.random.default_rng(22))
+        step = lattice_step(2, trial_obs.n_units)
+        assert abs(exact.lower - sampled.lower) <= 2 * step
+        assert abs(exact.upper - sampled.upper) <= 2 * step
+
+    def test_narrower_level_nested(self, trial_obs, h2):
+        prior = PriorSpec.uniform(4)
+        wide = exact_interval(trial_obs, h2, 2, prior, 0.95)
+        narrow = exact_interval(trial_obs, h2, 2, prior, 0.50)
         assert wide.lower <= narrow.lower <= narrow.upper <= wide.upper

@@ -27,8 +27,7 @@ def run_cli(*args, cwd=None):
 class TestAnalyze:
     def test_trial_report_values_and_schema(self):
         cp = run_cli(
-            "analyze", "--input", AHLUWALIA, "--seed", "7", "--draws", "50000",
-            "--effects", "2",
+            "analyze", "--input", AHLUWALIA, "--seed", "7", "--effects", "2",
         )
         assert cp.returncode == 0, cp.stderr
         report = json.loads(cp.stdout)
@@ -44,14 +43,14 @@ class TestAnalyze:
         assert report["seed"] == 7
 
     def test_seed_reproduces_byte_identical_output(self):
-        args = ("analyze", "--input", AHLUWALIA, "--seed", "7", "--draws", "20000")
+        args = ("analyze", "--input", AHLUWALIA, "--seed", "7")
         first = run_cli(*args)
         second = run_cli(*args)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
 
     def test_random_seed_is_echoed(self):
-        cp = run_cli("analyze", "--input", AHLUWALIA, "--draws", "20000", "--effects", "1")
+        cp = run_cli("analyze", "--input", AHLUWALIA, "--effects", "1")
         report = json.loads(cp.stdout)
         assert isinstance(report["seed"], int)
         assert 0 <= report["seed"] < 2**64
@@ -59,7 +58,7 @@ class TestAnalyze:
     def test_zero_successes(self, tmp_path):
         path = tmp_path / "zero.json"
         path.write_text(json.dumps({"K": 2, "n": [5, 5, 5, 5], "n_obs": [0, 0, 0, 0]}))
-        cp = run_cli("analyze", "--input", path, "--seed", "1", "--draws", "20000")
+        cp = run_cli("analyze", "--input", path, "--seed", "1")
         report = json.loads(cp.stdout)
         for row in report["effects"]:
             assert row["neyman"]["variance"] == 0.0
@@ -70,15 +69,15 @@ class TestAnalyze:
         csv_path.write_text(
             "arm,size,successes\n1,189,13\n2,188,29\n3,189,19\n4,189,34\n"
         )
-        from_json = run_cli("analyze", "--input", AHLUWALIA, "--seed", "3", "--draws", "20000")
-        from_csv = run_cli("analyze", "--from-csv", csv_path, "--seed", "3", "--draws", "20000")
+        from_json = run_cli("analyze", "--input", AHLUWALIA, "--seed", "3")
+        from_csv = run_cli("analyze", "--from-csv", csv_path, "--seed", "3")
         a = json.loads(from_json.stdout)
         b = json.loads(from_csv.stdout)
         assert a["effects"] == b["effects"]
 
     def test_rho_grid_adds_sensitivity_block(self):
         cp = run_cli(
-            "analyze", "--input", AHLUWALIA, "--seed", "5", "--draws", "20000",
+            "analyze", "--input", AHLUWALIA, "--seed", "5",
             "--effects", "2", "--rho-grid", "0,0.5", "--sweep-draws", "5000",
         )
         report = json.loads(cp.stdout)
@@ -91,7 +90,7 @@ class TestAnalyze:
     def test_out_file(self, tmp_path):
         out = tmp_path / "report.json"
         cp = run_cli(
-            "analyze", "--input", AHLUWALIA, "--seed", "2", "--draws", "20000", "--out", out
+            "analyze", "--input", AHLUWALIA, "--seed", "2", "--out", out
         )
         assert cp.returncode == 0
         assert cp.stdout == ""
@@ -124,8 +123,7 @@ class TestSensitivity:
         assert len(lines) == 2
         analyze = json.loads(
             run_cli(
-                "analyze", "--input", AHLUWALIA, "--seed", "11", "--draws", "100000",
-                "--effects", "2",
+                "analyze", "--input", AHLUWALIA, "--seed", "11", "--effects", "2",
             ).stdout
         )
         indep = analyze["effects"][0]["bayes_indep"]
@@ -142,7 +140,7 @@ class TestSensitivity:
         csv_out = tmp_path / "custom.csv"
         cp = run_cli(
             "sensitivity", "--input", AHLUWALIA, "--effect", "2", "--gamma-csv", gamma,
-            "--draws", "20000", "--seed", "13", "--csv-out", csv_out,
+            "--seed", "13", "--csv-out", csv_out,
         )
         assert cp.returncode == 0, cp.stderr
         report = json.loads(cp.stdout)
@@ -210,7 +208,7 @@ class TestInputValidation:
         as_ints.write_text(json.dumps({"K": 1, "n": [10, 12], "n_obs": [3, 4]}))
         as_floats = tmp_path / "floats.csv"
         as_floats.write_text("arm,size,successes\n1,10.0,3.0\n2,12,4.0\n")
-        args = ["analyze", "--seed", "1", "--draws", "1000"]
+        args = ["analyze", "--seed", "1"]
         assert cli.main([*args, "--input", str(as_ints)]) == 0
         first = capsys.readouterr().out
         assert cli.main([*args, "--from-csv", str(as_floats)]) == 0
@@ -226,6 +224,42 @@ class TestInputValidation:
         assert cli.main(argv) == 2
         assert "association matrix is 2x2, data has 4 arms" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_prior(self, capsys, value):
+        for flag in ("--alpha", "--beta"):
+            argv = ["analyze", "--input", str(AHLUWALIA), "--seed", "1", f"{flag}={value}"]
+            assert cli.main(argv) == 2
+            assert "Beta prior hyperparameters must be finite" in capsys.readouterr().err
+
+    def test_non_finite_gamma_matrix(self, tmp_path, capsys):
+        gamma = tmp_path / "gamma.csv"
+        gamma.write_text("0,nan,0.5,0.5\nnan,0,0.5,0.5\n0.5,0.5,0,0.5\n0.5,0.5,0.5,0\n")
+        argv = [
+            "sensitivity", "--input", str(AHLUWALIA), "--effect", "1", "--gamma-csv", str(gamma),
+            "--seed", "1", "--csv-out", str(tmp_path / "s.csv"),
+        ]
+        assert cli.main(argv) == 2
+        assert "association matrix entries must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"arms": 5}, "'arms' must be a JSON list, got 5"),
+            ({"methods": "neyman"}, "'methods' must be a JSON list, got 'neyman'"),
+            ({"methods": []}, "'methods' must name at least one method"),
+            ({"methods": ["neyman", "neyman"]}, "'methods' lists a method twice"),
+            ({"methods": [["neyman"]]}, "unknown method ['neyman']"),
+            ({"level": "0.95"}, "'level' must be a number, got '0.95'"),
+            ({"level": True}, "'level' must be a number, got True"),
+        ],
+    )
+    def test_study_config_shapes(self, tmp_path, capsys, override, message):
+        config = write_toy_config(tmp_path, toy_rows(1), **override)
+        argv = ["simulate", "--config", str(config), "--out-csv", str(tmp_path / "c.csv")]
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
     def test_study_config(self, tmp_path):
         config = write_toy_config(tmp_path, toy_rows(1), effect=1.9)
         cp = run_cli("simulate", "--config", config, "--out-csv", tmp_path / "c.csv")
@@ -239,7 +273,10 @@ class TestResourceLimits:
     HUGE = "100000000000"
 
     def test_analyze_draws(self, capsys):
-        argv = ["analyze", "--input", str(AHLUWALIA), "--seed", "1", "--draws", self.HUGE]
+        argv = [
+            "analyze", "--input", str(AHLUWALIA), "--seed", "1", "--rho-grid", "0",
+            "--sweep-draws", self.HUGE,
+        ]
         assert cli.main(argv) == 3
         assert "exceed the bound" in capsys.readouterr().err
 
@@ -252,11 +289,18 @@ class TestResourceLimits:
         assert "exceed the bound" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
+    def test_oversized_lattice(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        n = 2**23
+        path.write_text(json.dumps({"K": 2, "n": [n] * 4, "n_obs": [1] * 4}))
+        assert cli.main(["analyze", "--input", str(path), "--seed", "1"]) == 3
+        assert "exceeds the bound" in capsys.readouterr().err
+
     def test_memory_error_maps_to_exit_3(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
             raise MemoryError("simulated allocation failure")
 
-        monkeypatch.setattr(bayes, "credible_interval", exhausted)
+        monkeypatch.setattr(bayes, "exact_interval", exhausted)
         assert cli.main(["analyze", "--input", str(AHLUWALIA), "--seed", "1"]) == 3
         assert "simulated allocation failure" in capsys.readouterr().err
 

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from factorial2k import CaseFileError, CellCounts
+from factorial2k import CaseFileError, CellCounts, ObservedData, bayes, estimands, from_cell_counts
+from factorial2k import harness
 from factorial2k.data import data_path
+from factorial2k.design import build_model_matrix, lattice_step
 from factorial2k.harness import (
     CoverageReport,
     GeneratorSpec,
@@ -17,7 +19,7 @@ from factorial2k.harness import (
     run_study,
 )
 
-from conftest import CASE_1
+from helpers import CASE_1
 
 
 def toy_case(case_id=1, total=40):
@@ -37,7 +39,6 @@ def write_toy_config(tmp_path, cases_rows, **overrides):
         "seed": 77,
         "level": 0.95,
         "methods": ["neyman", "bayes-indep"],
-        "draws_per_rep": 1000,
     }
     config.update(overrides)
     path = tmp_path / "study.json"
@@ -147,7 +148,7 @@ class TestCoverageExperiment:
         counts[15] = 40  # every unit responds under every arm
         case = SimulationCase.from_counts(1, CellCounts(k=2, counts=counts))
         reports = coverage_experiment(
-            case, np.array([10, 10, 10, 10]), 1, 20, 0.95, ["neyman"], 1000,
+            case, np.array([10, 10, 10, 10]), 1, 20, 0.95, ["neyman"],
             np.random.default_rng(5),
         )
         assert reports[0].coverage == 1.0
@@ -155,22 +156,41 @@ class TestCoverageExperiment:
 
     def test_fixed_seed_reproduces(self):
         case = toy_case()
-        args = (case, np.array([10, 10, 10, 10]), 1, 10, 0.95, ["neyman", "bayes-indep"], 1000)
+        args = (case, np.array([10, 10, 10, 10]), 1, 10, 0.95, ["neyman", "bayes-indep"])
         first = coverage_experiment(*args, np.random.default_rng(6))
         second = coverage_experiment(*args, np.random.default_rng(6))
         assert first == second
 
+    def test_tie_with_true_effect_counts_as_covered(self, monkeypatch):
+        """Exact endpoints and true effects are both lattice_step x integer,
+        so an endpoint on the true effect is the same float and covers it.
+        Averaging arm means instead puts this true effect an ulp below the
+        endpoint, which would count the tie as a miss."""
+        case, matrix = toy_case(), build_model_matrix(2)
+        true_value = float(case.true_effects[0])
+        assert true_value == lattice_step(2, 40) * 3
+        tie = ObservedData(k=2, n=[10, 10, 10, 10], n_obs=[0, 5, 6, 5])
+        report = bayes.exact_interval(tie, matrix, 1, bayes.PriorSpec.uniform(4), 0.95)
+        assert report.lower == true_value
+        assert estimands(from_cell_counts(case.counts), matrix).tau[0] < report.lower
+
+        monkeypatch.setattr(harness, "observe", lambda table, assignment: tie)
+        [row] = coverage_experiment(
+            case, np.array([10, 10, 10, 10]), 1, 5, 0.95, ["bayes-indep"], np.random.default_rng(7)
+        )
+        assert row.coverage == 1.0
+
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             coverage_experiment(
-                toy_case(), np.array([10, 10, 10, 10]), 1, 5, 0.95, ["bootstrap"], 1000,
+                toy_case(), np.array([10, 10, 10, 10]), 1, 5, 0.95, ["bootstrap"],
                 np.random.default_rng(0),
             )
 
     def test_rejects_arm_total_mismatch(self):
         with pytest.raises(ValueError):
             coverage_experiment(
-                toy_case(), np.array([10, 10, 10, 11]), 1, 5, 0.95, ["neyman"], 1000,
+                toy_case(), np.array([10, 10, 10, 11]), 1, 5, 0.95, ["neyman"],
                 np.random.default_rng(0),
             )
 

@@ -11,7 +11,7 @@ from factorial2k.neyman import (
     variance_estimate,
 )
 
-from conftest import random_table
+from helpers import random_table
 
 
 class TestPointEstimate:

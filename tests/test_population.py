@@ -15,7 +15,7 @@ from factorial2k import (
 )
 from factorial2k.population import arm_variances, effect_variation, individual_effects
 
-from conftest import CASE_1, CASE_2, random_table
+from helpers import CASE_1, CASE_2, random_table
 
 
 def case1_arm_means():

@@ -48,6 +48,7 @@ class TestOneMessagePerCondition:
         calls = [
             lambda: neyman.confidence_interval(trial_obs, h2, 1, 1.0),
             lambda: bayes.credible_interval(trial_obs, h2, 1, prior, 1000, 1.0, rng),
+            lambda: bayes.exact_interval(trial_obs, h2, 1, prior, 1.0),
             lambda: sensitivity.interval(trial_obs, h2, 1, prior, gamma, 1000, 1.0, rng),
             lambda: sensitivity.sweep(trial_obs, h2, 1, prior, [0.5], 1000, 1.0, rng),
         ]
@@ -93,6 +94,39 @@ class TestDrawBound:
         gamma = sensitivity.gamma_ar1(0.5, 4)
         with pytest.raises(ResourceLimitError):
             sensitivity.interval(trial_obs, h2, 1, prior, gamma, draws, 0.95, NoDraws())
+
+
+class TestLatticeBound:
+    def test_admits_large_designs(self):
+        # K=7 with 100 units per arm: 128 arms x 12,700 missing outcomes
+        _checks.check_lattice(128 * 12_700 + 1)
+        _checks.check_lattice(_checks.MAX_DRAW_CELLS)
+
+    def test_rejects_before_allocating(self, monkeypatch, h2):
+        def allocates(*args):
+            raise AssertionError("no pmf may be built")
+
+        monkeypatch.setattr(bayes, "_beta_binomial", allocates)
+        # 4 arms, each missing 3n outcomes: 12n + 1 lattice points
+        n = _checks.MAX_DRAW_CELLS // 12 + 1
+        obs = ObservedData(k=2, n=[n] * 4, n_obs=[1] * 4)
+        prior = bayes.PriorSpec.uniform(4)
+        with pytest.raises(ResourceLimitError, match=r"lattice of \d+ points exceeds the bound"):
+            bayes.exact_interval(obs, h2, 1, prior, 0.95)
+        obs = ObservedData(k=2, n=[n - 1] * 4, n_obs=[1] * 4)
+        with pytest.raises(AssertionError, match="no pmf may be built"):
+            bayes.exact_interval(obs, h2, 1, prior, 0.95)
+
+
+class TestNonFinite:
+    def test_association_matrix(self):
+        gamma = np.full((4, 4), 0.5)
+        gamma[0, 1] = gamma[1, 0] = float("nan")
+        with pytest.raises(ValueError, match="^association matrix entries must be finite$"):
+            sensitivity.gamma_custom(gamma)
+        gamma[0, 1] = gamma[1, 0] = float("inf")
+        with pytest.raises(ValueError, match="^association matrix entries must be finite$"):
+            sensitivity.GammaStructure(gamma=gamma)
 
 
 class TestNoSilentCoercion:
@@ -144,7 +178,7 @@ class TestNoSilentCoercion:
             {"arms": [10.5, 10, 10, 9.5]},
             {"replications": "25"},
             {"seed": 7.25},
-            {"draws_per_rep": float("nan")},
+            {"replications": float("nan")},
             {"cases": {"n_cases": 2.5, "N": 40, "seed": 1}},
             {"cases": {"n_cases": 2, "N": 40, "seed": 1, "cells": 16.5}},
         ],
