@@ -1,9 +1,12 @@
-"""Argument checks shared by the library and the CLI: each condition is
-tested here once, so every caller rejects it in the same words."""
+"""Checks and file readers shared by the library and the CLI: each condition
+is tested here once, so every caller rejects it in the same words."""
 
 from __future__ import annotations
 
+import csv
+import json
 import numbers
+from pathlib import Path
 
 import numpy as np
 
@@ -52,11 +55,14 @@ def check_lattice(points: int) -> None:
         )
 
 
-def check_arms(arms, n_units: int) -> np.ndarray:
-    """Arm sizes as an int64 vector; each at least 2, summing to ``n_units``."""
+def check_arms(arms, n_units: int, n_arms: int | None = None) -> np.ndarray:
+    """Arm sizes as an int64 vector; each at least 2, summing to ``n_units``,
+    and ``n_arms`` of them when given."""
     arms = np.asarray(arms, dtype=np.int64)
     if arms.ndim != 1 or arms.sum() != n_units:
         raise ValueError(f"arm sizes must sum to {n_units}, got {arms.tolist()}")
+    if n_arms is not None and arms.size != n_arms:
+        raise ValueError(f"expected {n_arms} arm sizes, got {arms.size}")
     if (arms < 2).any():
         raise ValueError("every arm needs at least 2 units")
     return arms
@@ -87,3 +93,60 @@ def whole_numbers(values, name: str) -> np.ndarray:
         return np.array(ints, dtype=np.int64).reshape(items.shape)
     except OverflowError as exc:
         raise ValueError(f"{name}: values must fit in 64 bits") from exc
+
+
+def csv_number(text: str) -> int | float:
+    """A CSV field as an int, or as a float when it is no int literal."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def read_json_object(path, required, optional=()) -> dict:
+    """The JSON object in file ``path``, holding every ``required`` key and
+    no key outside ``required`` and ``optional``."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    unknown = set(raw) - set(required) - set(optional)
+    if unknown:
+        raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
+    missing = set(required) - set(raw)
+    if missing:
+        raise ValueError(f"{path}: missing keys {sorted(missing)}")
+    return raw
+
+
+def read_csv_rows(path, parse, header: bool = False, error=ValueError) -> list[tuple[int, list]]:
+    """The nonblank rows of CSV file ``path`` as ``(row number, values)``.
+
+    Rows are numbered from 1, blank rows included.  Every field goes
+    through ``parse``, and every row must be as wide as the first.  With
+    ``header``, a first row whose first field ``parse`` rejects is skipped.
+    Faults raise ``error`` naming the file, and the row if any.
+    """
+    rows = []
+    with open(path, newline="") as handle:
+        for row_no, fields in enumerate(csv.reader(handle), start=1):
+            if not any(f.strip() for f in fields):
+                continue
+            if header:
+                header = False
+                try:
+                    parse(fields[0])
+                except ValueError:
+                    continue
+            try:
+                values = [parse(f) for f in fields]
+                if rows and len(values) != len(rows[0][1]):
+                    raise ValueError(f"expected {len(rows[0][1])} fields, found {len(values)}")
+            except ValueError as exc:
+                raise error(f"{path}: row {row_no}: {exc}") from exc
+            rows.append((row_no, values))
+    if not rows:
+        raise error(f"{path}: no rows")
+    return rows

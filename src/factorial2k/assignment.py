@@ -83,10 +83,7 @@ def draw_assignment(arms: np.ndarray, n_units: int, rng: np.random.Generator) ->
     arms = check_arms(arms, n_units)
     perm = rng.permutation(n_units)
     arm_of = np.empty(n_units, dtype=np.int64)
-    start = 0
-    for j, size in enumerate(arms, start=1):
-        arm_of[perm[start : start + size]] = j
-        start += size
+    arm_of[perm] = np.repeat(np.arange(1, arms.size + 1), arms)
     return Assignment(arm_of=arm_of)
 
 
@@ -94,13 +91,11 @@ def observe(table: PotentialTable, assignment: Assignment) -> ObservedData:
     """Reveal each assigned unit's outcome and tally per-arm successes."""
     if assignment.n_units != table.n_units:
         raise ValueError("assignment and table describe different unit counts")
-    j = table.n_arms
-    n = np.bincount(assignment.arm_of, minlength=j + 1)[1:]
-    n_obs = np.empty(j, dtype=np.int64)
-    for arm in range(1, j + 1):
-        units = np.flatnonzero(assignment.arm_of == arm)
-        n_obs[arm - 1] = table.outcomes[units, arm - 1].sum()
-    return ObservedData(k=table.k, n=n, n_obs=n_obs)
+    column = assignment.arm_of - 1
+    seen = table.outcomes[np.arange(table.n_units), column].astype(np.int64, copy=False)
+    # one bincount over (arm, outcome) pairs: row j holds arm j+1's failures, successes
+    tally = np.bincount(2 * column + seen, minlength=2 * table.n_arms).reshape(-1, 2)
+    return ObservedData(k=table.k, n=tally.sum(axis=1), n_obs=tally[:, 1])
 
 
 def count_assignments(n_units: int, arms: np.ndarray) -> int:
@@ -108,10 +103,7 @@ def count_assignments(n_units: int, arms: np.ndarray) -> int:
     arms = np.asarray(arms, dtype=np.int64)
     if arms.sum() != n_units or (arms < 0).any():
         raise ValueError(f"arm sizes must be nonnegative and sum to {n_units}")
-    total = math.factorial(n_units)
-    for size in arms:
-        total //= math.factorial(int(size))
-    return total
+    return math.factorial(n_units) // math.prod(math.factorial(int(s)) for s in arms)
 
 
 def enumerate_assignments(n_units: int, arms: np.ndarray) -> Iterator[Assignment]:
@@ -120,7 +112,6 @@ def enumerate_assignments(n_units: int, arms: np.ndarray) -> Iterator[Assignment
     Exhaustive-enumeration oracle for small populations; refuses to run
     when the multinomial coefficient exceeds ``MAX_ENUMERATION``.
     """
-    arms = np.asarray(arms, dtype=np.int64)
     total = count_assignments(n_units, arms)
     if total > MAX_ENUMERATION:
         raise ResourceLimitError(

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bayes, harness, neyman, sensitivity
-from ._checks import check_effect, whole_number
+from ._checks import check_effect, csv_number, read_csv_rows, read_json_object, whole_number
 from .assignment import ObservedData
 from .design import build_model_matrix
 from .errors import ResourceLimitError
@@ -83,17 +83,13 @@ def _parse_seed(value: str | None) -> int:
 
 
 def _parse_threads(value: int | None) -> int | None:
-    if value is not None:
-        if value < 1:
-            raise ValueError("--threads must be at least 1")
-        return value
-    env = os.environ.get("FACTORIAL_THREADS")
-    if env:
-        threads = int(env)
-        if threads < 1:
-            raise ValueError("FACTORIAL_THREADS must be at least 1")
-        return threads
-    return None
+    """``--threads``, else a nonempty ``FACTORIAL_THREADS``, else None."""
+    name, env = "--threads", os.environ.get("FACTORIAL_THREADS")
+    if value is None and env:
+        name, value = "FACTORIAL_THREADS", int(env)
+    if value is not None and value < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return value
 
 
 def _parse_prior(alpha: str, beta: str, n_arms: int) -> bayes.PriorSpec:
@@ -139,70 +135,51 @@ def _parse_effects(spec: str, n_arms: int) -> list[int]:
     if spec.strip().lower() == "all":
         return list(range(1, n_arms))
     effects = [int(p) for p in spec.split(",")]
-    for l in effects:
+    for i, l in enumerate(effects):
         check_effect(l, n_arms)
+        if l in effects[:i]:
+            raise ValueError(f"--effects lists effect {l} twice")
     return effects
 
 
 def load_analysis_input(path: str) -> tuple[ObservedData, str | None]:
     """Load observed data from a JSON file {"K":, "n":, "n_obs":, "label"?:}."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: input must be a JSON object")
-    unknown = set(raw) - {"K", "n", "n_obs", "label"}
-    if unknown:
-        raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
-    missing = {"K", "n", "n_obs"} - set(raw)
-    if missing:
-        raise ValueError(f"{path}: missing keys {sorted(missing)}")
+    raw = read_json_object(path, required=("K", "n", "n_obs"), optional=("label",))
+    label = raw.get("label")
+    if label is not None and not isinstance(label, str):
+        raise ValueError(f"{path}: 'label' must be a string, got {label!r}")
     try:
         obs = ObservedData(k=whole_number(raw["K"], "K"), n=raw["n"], n_obs=raw["n_obs"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return obs, raw.get("label")
-
-
-def _csv_number(text: str) -> int | float:
-    """A CSV field as an int, or as a float when it is no int literal."""
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
+    return obs, label
 
 
 def load_analysis_input_csv(path: str) -> tuple[ObservedData, str | None]:
-    """Load observed data from CSV rows of ``arm,size,successes``."""
-    per_arm: dict[int, tuple[int, int]] = {}
-    with open(path, newline="") as handle:
-        for row_no, row in enumerate(csv.reader(handle), start=1):
-            if not row or all(not f.strip() for f in row):
-                continue
-            if row_no == 1 and not row[0].strip().lstrip("-").isdigit():
-                continue  # header row
-            if len(row) != 3:
-                raise ValueError(f"{path}: row {row_no}: expected arm,size,successes")
-            try:
-                arm, size, successes = (
-                    whole_number(_csv_number(field), name)
-                    for name, field in zip(("arm", "size", "successes"), row)
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {row_no}: {exc}") from exc
+    """Load observed data from CSV rows of ``arm,size,successes``; a first
+    row whose first field is not a number is a header."""
+    rows = read_csv_rows(path, csv_number, header=True)
+    if len(rows[0][1]) != 3:
+        raise ValueError(f"{path}: row {rows[0][0]}: expected arm,size,successes")
+    per_arm = {}
+    for row_no, values in rows:
+        try:
+            arm, *counts = map(whole_number, values, ("arm", "size", "successes"))
             if arm in per_arm:
-                raise ValueError(f"{path}: row {row_no}: duplicate arm {arm}")
-            per_arm[arm] = (size, successes)
-    n_arms = len(per_arm)
-    if n_arms == 0 or sorted(per_arm) != list(range(1, n_arms + 1)):
-        raise ValueError(f"{path}: arms must be exactly 1..J, got {sorted(per_arm)}")
-    k = n_arms.bit_length() - 1
-    if 2**k != n_arms:
-        raise ValueError(f"{path}: number of arms must be a power of 2, got {n_arms}")
-    n = np.asarray([per_arm[j][0] for j in range(1, n_arms + 1)])
-    n_obs = np.asarray([per_arm[j][1] for j in range(1, n_arms + 1)])
-    return ObservedData(k=k, n=n, n_obs=n_obs), None
+                raise ValueError(f"duplicate arm {arm}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {row_no}: {exc}") from exc
+        per_arm[arm] = counts
+    arms = sorted(per_arm)
+    k = len(arms).bit_length() - 1
+    if arms != list(range(1, 2**k + 1)):
+        raise ValueError(f"{path}: arms must be exactly 1..J with J a power of 2, got {arms}")
+    n, n_obs = np.array([per_arm[j] for j in arms]).T
+    try:
+        obs = ObservedData(k=k, n=n, n_obs=n_obs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return obs, None
 
 
 def _load_input(args) -> tuple[ObservedData, str | None]:
@@ -283,16 +260,11 @@ def _input_echo(obs: ObservedData, label: str | None) -> dict:
 
 def load_gamma_csv(path: str) -> sensitivity.GammaStructure:
     """Read a custom JxJ association matrix from CSV."""
-    rows = []
-    with open(path, newline="") as handle:
-        for row_no, row in enumerate(csv.reader(handle), start=1):
-            if not row or all(not f.strip() for f in row):
-                continue
-            try:
-                rows.append([float(f) for f in row])
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {row_no}: {exc}") from exc
-    return sensitivity.gamma_custom(np.asarray(rows, dtype=np.float64))
+    rows = read_csv_rows(path, float)
+    try:
+        return sensitivity.gamma_custom(np.asarray([values for _, values in rows]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def cmd_sensitivity(args) -> int:

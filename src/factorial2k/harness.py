@@ -15,7 +15,6 @@ order, so results are byte-identical for any worker count.
 from __future__ import annotations
 
 import csv
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -24,11 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from . import bayes, neyman
-from ._checks import check_arms, check_effect, whole_number
+from ._checks import check_arms, check_effect, csv_number, read_csv_rows, read_json_object, whole_number
 from .assignment import draw_assignment, observe
 from .design import build_model_matrix, lattice_step
 from .errors import CaseFileError
-from .population import CellCounts, from_cell_counts
+from .population import CellCounts, cell_patterns, from_cell_counts
 
 METHODS = ("neyman", "bayes-indep")
 COVERAGE_CSV_COLUMNS = ("case_id", "method", "coverage", "mean_width")
@@ -49,7 +48,7 @@ class SimulationCase:
 
     @classmethod
     def from_counts(cls, case_id: int, counts: CellCounts) -> "SimulationCase":
-        totals = from_cell_counts(counts).outcomes.sum(axis=0)
+        totals = cell_patterns(counts.k).T @ counts.counts
         contrasts = totals @ build_model_matrix(counts.k).entries[:, 1:]
         true_effects = lattice_step(counts.k, counts.n_units) * contrasts
         return cls(case_id=case_id, counts=counts, true_effects=true_effects)
@@ -83,9 +82,7 @@ def generate_cases(
         raise ValueError("need at least one case")
     if total < 1:
         raise ValueError("population size must be positive")
-    k = {4: 1, 16: 2}.get(cells)
-    if k is None:
-        raise ValueError(f"cell count must be 4 (K=1) or 16 (K=2), got {cells}")
+    k = CellCounts.factors(cells)
     cases = []
     for case_id in range(1, n_cases + 1):
         weights = rng.random(cells)
@@ -97,35 +94,19 @@ def generate_cases(
 def load_fixture_cases(path, expected_total: int | None = None) -> list[SimulationCase]:
     """Load cases from a CSV of comma-separated nonnegative cell counts.
 
-    One case per row; all rows must have the same number of cells (4 or
-    16) and, when ``expected_total`` is given, sum to it.  Parse errors
-    report the offending 1-based row number.
+    One case per row, its id the 1-based row number; all rows must have
+    the same number of cells (4 or 16) and, when ``expected_total`` is
+    given, sum to it.  Every error names the file, and the row if any.
     """
     cases = []
-    n_cells = None
-    with open(path, newline="") as handle:
-        for row_no, row in enumerate(csv.reader(handle), start=1):
-            if not row or all(not f.strip() for f in row):
-                continue
-            try:
-                counts = [int(f) for f in row]
-            except ValueError as exc:
-                raise CaseFileError(f"row {row_no}: {exc}") from exc
-            if n_cells is None:
-                n_cells = len(counts)
-                if n_cells not in (4, 16):
-                    raise CaseFileError(f"row {row_no}: expected 4 or 16 cells, found {n_cells}")
-            elif len(counts) != n_cells:
-                raise CaseFileError(f"row {row_no}: expected {n_cells} cells, found {len(counts)}")
-            if min(counts) < 0:
-                raise CaseFileError(f"row {row_no}: negative cell count")
-            total = sum(counts)
-            if expected_total is not None and total != expected_total:
-                raise CaseFileError(f"row {row_no}: cells sum to {total}, expected {expected_total}")
-            k = 1 if n_cells == 4 else 2
-            cases.append(SimulationCase.from_counts(row_no, CellCounts(k=k, counts=np.asarray(counts))))
-    if not cases:
-        raise CaseFileError("case file contains no rows")
+    for row_no, values in read_csv_rows(path, csv_number, error=CaseFileError):
+        try:
+            counts = CellCounts(k=CellCounts.factors(len(values)), counts=values)
+            if expected_total is not None and counts.n_units != expected_total:
+                raise ValueError(f"cells sum to {counts.n_units}, expected {expected_total}")
+        except ValueError as exc:
+            raise CaseFileError(f"{path}: row {row_no}: {exc}") from exc
+        cases.append(SimulationCase.from_counts(row_no, counts))
     return cases
 
 
@@ -144,7 +125,7 @@ def coverage_experiment(
     observes the outcomes, and builds one interval per requested method.
     An interval covers when lower <= true effect <= upper.
     """
-    arms = check_arms(arms, case.n_units)
+    arms = check_arms(arms, case.n_units, 2**case.counts.k)
     if replications < 1:
         raise ValueError("need at least one replication")
     methods = list(methods)
@@ -206,19 +187,11 @@ class StudyConfig:
         """Parse a config file; a relative fixture path is resolved
         against the config file's directory."""
         path = Path(path)
-        try:
-            raw = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ValueError(f"{path}: config must be a JSON object")
-        known = {"cases", "arms", "effect", "replications", "seed", "level", "methods"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-        missing = {"cases", "arms", "effect", "replications", "seed"} - set(raw)
-        if missing:
-            raise ValueError(f"{path}: missing config keys {sorted(missing)}")
+        raw = read_json_object(
+            path,
+            required=("cases", "arms", "effect", "replications", "seed"),
+            optional=("level", "methods"),
+        )
         cases = raw["cases"]
         if isinstance(cases, str):
             cases = str((path.parent / cases).resolve()) if not os.path.isabs(cases) else cases
@@ -299,13 +272,7 @@ def _case_worker(args) -> list[CoverageReport]:
     case, config = args
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(case.case_id,)))
     return coverage_experiment(
-        case,
-        np.asarray(config.arms),
-        config.effect,
-        config.replications,
-        config.level,
-        config.methods,
-        rng,
+        case, config.arms, config.effect, config.replications, config.level, config.methods, rng
     )
 
 
@@ -317,8 +284,7 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyReport:
     """
     cases = resolve_cases(config)
     n_arms = 2 ** cases[0].counts.k
-    if len(config.arms) != n_arms:
-        raise ValueError(f"config lists {len(config.arms)} arms, cases have {n_arms}")
+    check_arms(config.arms, cases[0].n_units, n_arms)
     check_effect(config.effect, n_arms)
     jobs = [(case, config) for case in cases]
     if threads is None:

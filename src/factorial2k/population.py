@@ -23,6 +23,13 @@ from .errors import UnsupportedRepresentationError
 MAX_CELL_FACTORS = 2
 
 
+def _check_cell_form(k: int) -> None:
+    if k > MAX_CELL_FACTORS:
+        raise UnsupportedRepresentationError(
+            f"cell counts need 2^(2^K) entries; K={k} not supported (max {MAX_CELL_FACTORS})"
+        )
+
+
 @dataclass(frozen=True)
 class PotentialTable:
     """Complete potential-outcome table: ``outcomes[i, j-1]`` is unit i's
@@ -58,10 +65,7 @@ class CellCounts:
     counts: np.ndarray  # length 2^(2^K), nonnegative integers
 
     def __post_init__(self) -> None:
-        if self.k > MAX_CELL_FACTORS:
-            raise UnsupportedRepresentationError(
-                f"cell counts need 2^(2^K) entries; K={self.k} not supported (max {MAX_CELL_FACTORS})"
-            )
+        _check_cell_form(self.k)
         n_cells = 2 ** (2**self.k)
         counts = whole_numbers(self.counts, "cell counts")
         if counts.ndim != 1 or counts.shape[0] != n_cells:
@@ -70,6 +74,14 @@ class CellCounts:
             raise ValueError("cell counts must be nonnegative")
         object.__setattr__(self, "counts", counts)
         self.counts.setflags(write=False)
+
+    @staticmethod
+    def factors(n_cells: int) -> int:
+        """K of a vector of ``n_cells`` cell counts: 4 cells are K=1, 16 are K=2."""
+        k = {4: 1, 16: 2}.get(n_cells)
+        if k is None:
+            raise ValueError(f"expected 4 (K=1) or 16 (K=2) cell counts, got {n_cells}")
+        return k
 
     @property
     def n_units(self) -> int:
@@ -121,10 +133,7 @@ def to_cell_counts(table: PotentialTable) -> CellCounts:
     Inverse of :func:`from_cell_counts` up to row order.  Raises
     :class:`UnsupportedRepresentationError` for K > 2.
     """
-    if table.k > MAX_CELL_FACTORS:
-        raise UnsupportedRepresentationError(
-            f"cell-count form limited to K <= {MAX_CELL_FACTORS}, got K={table.k}"
-        )
+    _check_cell_form(table.k)
     j = table.n_arms
     weights = 1 << np.arange(j - 1, -1, -1)
     words = table.outcomes @ weights
@@ -183,9 +192,7 @@ def sampling_variance(
     This is a population quantity; it needs the full table and is the
     target the conservative observed-data estimator is judged against.
     """
-    arms = check_arms(arms, table.n_units)
-    if arms.shape != (table.n_arms,):
-        raise ValueError(f"expected {table.n_arms} arm sizes, got {arms.shape[0]}")
+    arms = check_arms(arms, table.n_units, table.n_arms)
     check_effect(l, table.n_arms)
     s2 = arm_variances(table)
     scale = 4.0 ** -(table.k - 1)

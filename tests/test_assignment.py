@@ -107,3 +107,57 @@ class TestEnumerateAssignments:
     def test_resource_limit(self):
         with pytest.raises(ResourceLimitError):
             list(enumerate_assignments(30, np.array([15, 15])))
+
+
+def block_assignment(arms, n_units, seed):
+    """Reference draw: the same seed's permutation of the units, split
+    into consecutive blocks of the arm sizes, block j becoming arm j."""
+    perm = np.random.default_rng(seed).permutation(n_units)
+    arm_of = np.empty(n_units, dtype=np.int64)
+    start = 0
+    for j, size in enumerate(arms, start=1):
+        arm_of[perm[start : start + size]] = j
+        start += size
+    return arm_of
+
+
+def unit_sum(table, arm_of):
+    """Reference tally: per-arm sizes and successes summed unit by unit."""
+    n = np.zeros(table.n_arms, dtype=np.int64)
+    n_obs = np.zeros(table.n_arms, dtype=np.int64)
+    for unit, arm in enumerate(arm_of):
+        n[arm - 1] += 1
+        n_obs[arm - 1] += table.outcomes[unit, arm - 1]
+    return n, n_obs
+
+
+class TestLoopFreePath:
+    """The vectorized draw and tally equal their unit-by-unit definitions,
+    so a change in how random numbers are consumed fails here."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_draw_matches_permutation_blocks(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        k = int(rng.integers(1, 4))
+        arms = rng.integers(2, 30, size=2**k)
+        n_units = int(arms.sum())
+        drawn = draw_assignment(arms, n_units, np.random.default_rng(seed))
+        assert np.array_equal(drawn.arm_of, block_assignment(arms, n_units, seed))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_observe_matches_unit_sum(self, seed):
+        rng = np.random.default_rng(2000 + seed)
+        k = int(rng.integers(1, 4))
+        arms = rng.integers(2, 30, size=2**k)
+        table = random_table(rng, int(arms.sum()), k=k)
+        assignment = draw_assignment(arms, table.n_units, np.random.default_rng(seed))
+        obs = observe(table, assignment)
+        n, n_obs = unit_sum(table, assignment.arm_of)
+        assert np.array_equal(obs.n, n) and np.array_equal(obs.n_obs, n_obs)
+
+    def test_observe_on_every_assignment(self):
+        table = random_table(np.random.default_rng(7), 8)
+        for assignment in enumerate_assignments(8, np.array([2, 2, 2, 2])):
+            obs = observe(table, assignment)
+            n, n_obs = unit_sum(table, assignment.arm_of)
+            assert np.array_equal(obs.n, n) and np.array_equal(obs.n_obs, n_obs)

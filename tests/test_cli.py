@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from factorial2k import bayes, cli
+from factorial2k import CaseFileError, bayes, cli, harness
 from factorial2k.data import data_path
 
 from test_harness import toy_rows, write_toy_config
@@ -265,6 +266,93 @@ class TestInputValidation:
         cp = run_cli("simulate", "--config", config, "--out-csv", tmp_path / "c.csv")
         assert cp.returncode == 2
         assert "effect: 1.9 is not a whole number" in cp.stderr
+
+
+    def test_repeated_effect(self, capsys):
+        argv = ["analyze", "--input", str(AHLUWALIA), "--seed", "1", "--effects", "2,2"]
+        assert cli.main(argv) == 2
+        assert "--effects lists effect 2 twice" in capsys.readouterr().err
+
+    def test_non_string_label(self, tmp_path, capsys):
+        path = tmp_path / "labelled.json"
+        path.write_text(json.dumps({"K": 1, "n": [10, 12], "n_obs": [3, 4], "label": 5}))
+        assert cli.main(["analyze", "--input", str(path), "--seed", "1"]) == 2
+        assert f"{path}: 'label' must be a string, got 5" in capsys.readouterr().err
+
+
+class TestReaders:
+    """Outside files go through two shared readers: every error names the
+    file, and the row for a CSV file."""
+
+    def sensitivity(self, tmp_path, gamma_text):
+        gamma = tmp_path / "gamma.csv"
+        gamma.write_text(gamma_text)
+        argv = [
+            "sensitivity", "--input", str(AHLUWALIA), "--effect", "1", "--gamma-csv", str(gamma),
+            "--draws", "1000", "--seed", "1", "--csv-out", str(tmp_path / "s.csv"),
+        ]
+        return gamma, cli.main(argv)
+
+    def test_ragged_gamma_csv(self, tmp_path, capsys):
+        gamma, code = self.sensitivity(
+            tmp_path, "0,0.5,0.5,0.5\n0.5,0,0.5\n0.5,0.5,0,0.5\n0.5,0.5,0.5,0\n"
+        )
+        assert code == 2
+        assert f"{gamma}: row 2: expected 4 fields, found 3" in capsys.readouterr().err
+
+    def test_empty_gamma_csv(self, tmp_path, capsys):
+        gamma, code = self.sensitivity(tmp_path, "\n \n")
+        assert code == 2
+        assert f"{gamma}: no rows" in capsys.readouterr().err
+
+    def test_numeric_first_row_is_data(self, tmp_path, capsys):
+        path = tmp_path / "trial.csv"
+        path.write_text("1.0,189,13\n2,188,29\n3,189,19\n4,189,34\n")
+        assert cli.main(["analyze", "--from-csv", str(path), "--seed", "3"]) == 0
+        from_csv = json.loads(capsys.readouterr().out)
+        assert cli.main(["analyze", "--input", str(AHLUWALIA), "--seed", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["effects"] == from_csv["effects"]
+
+    def test_header_is_skipped(self, tmp_path):
+        path = tmp_path / "trial.csv"
+        path.write_text("arm,size,successes\n1,189,13\n2,188,29\n3,189,19\n4,189,34\n")
+        obs, label = cli.load_analysis_input_csv(str(path))
+        assert obs.n.tolist() == [189, 188, 189, 189]
+        assert obs.n_obs.tolist() == [13, 29, 19, 34]
+        assert label is None
+
+    BAD_FILES = [
+        (cli.load_analysis_input, "data.json", "[1, 2]", "expected a JSON object"),
+        (cli.load_analysis_input, "data.json", '{"K": 1, "n": [10, 12]}', "missing keys"),
+        (cli.load_analysis_input, "data.json", '{"K": 1, "n": [10, 12], "n_obs": [3, 13]}',
+         "0 <= n_obs <= n"),
+        (cli.load_analysis_input_csv, "data.csv", "arm,size,successes\n", "no rows"),
+        (cli.load_analysis_input_csv, "data.csv", "1,10,3\n2,10\n", "row 2"),
+        (cli.load_analysis_input_csv, "data.csv", "1,10,3\n2,10,11\n", "0 <= n_obs <= n"),
+        (cli.load_gamma_csv, "gamma.csv", "0,x\nx,0\n", "row 1"),
+        (cli.load_gamma_csv, "gamma.csv", "0,0.5,0.5\n0.5,0,0.5\n", "must be square"),
+        (harness.load_fixture_cases, "cases.csv", "", "no rows"),
+        (harness.load_fixture_cases, "cases.csv", "1,2,3,4\n1,2,3,4,5\n", "row 2"),
+        (harness.load_fixture_cases, "cases.csv", "1,2,3\n", "row 1"),
+        (harness.StudyConfig.from_json, "study.json", "{", "invalid JSON"),
+        (harness.StudyConfig.from_json, "study.json", '{"bogus": 1}', "unknown keys"),
+    ]
+
+    @pytest.mark.parametrize("load, name, text, message", BAD_FILES)
+    def test_every_loader_names_its_path(self, tmp_path, load, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load(str(path))
+        assert str(info.value).startswith(f"{path}: ")
+        assert message in str(info.value)
+
+    def test_case_file_errors_are_case_file_errors(self, tmp_path):
+        for text in ("", "1,2,x,4\n", "1,2,3,4\n1,2,3\n", "1,2,3\n", "1,-2,3,4\n"):
+            path = tmp_path / "cases.csv"
+            path.write_text(text)
+            with pytest.raises(CaseFileError, match=f"^{re.escape(str(path))}: "):
+                harness.load_fixture_cases(path)
 
 
 class TestResourceLimits:

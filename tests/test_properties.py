@@ -1,6 +1,8 @@
 """Property tests (hypothesis) for the input loaders, the sweep grid
 parser, the conditional-probability laws and the cell-count round trip."""
 
+import contextlib
+import io
 import json
 import math
 import tempfile
@@ -12,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorial2k import CellCounts, from_cell_counts, to_cell_counts
-from factorial2k.cli import load_analysis_input, load_analysis_input_csv, parse_rho_grid
+from factorial2k.cli import load_analysis_input, load_analysis_input_csv, main, parse_rho_grid
+from factorial2k.harness import generate_cases, load_fixture_cases
 from factorial2k.sensitivity import conditional_probs
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -128,3 +131,27 @@ def test_cell_count_round_trip(data):
     table = from_cell_counts(cells)
     assert table.n_units == sum(counts)
     assert to_cell_counts(table).counts.tolist() == counts
+
+
+@SETTINGS
+@given(
+    st.integers(1, 5),
+    st.integers(1, 200),
+    st.sampled_from([4, 16]),
+    st.integers(0, 2**64 - 1),
+)
+def test_generated_case_file_round_trip(count, total, cells, seed):
+    """The CSV that gen-cases writes loads back as the cases it drew."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cases.csv"
+        argv = ["gen-cases", "--count", str(count), "--total", str(total),
+                "--cells", str(cells), "--seed", str(seed), "--out", str(path)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        loaded = load_fixture_cases(path, expected_total=total)
+    drawn = generate_cases(count, total, cells, np.random.default_rng(np.random.SeedSequence(seed)))
+    assert [c.case_id for c in loaded] == [c.case_id for c in drawn]
+    for a, b in zip(loaded, drawn):
+        assert a.counts.k == b.counts.k
+        assert a.counts.counts.tolist() == b.counts.counts.tolist()
+        assert np.array_equal(a.true_effects, b.true_effects)

@@ -2,11 +2,12 @@
 module raises it, and no silent coercion of outside input."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from factorial2k import CellCounts, ObservedData, ResourceLimitError, StudyConfig
+from factorial2k import CaseFileError, CellCounts, ObservedData, ResourceLimitError, StudyConfig
 from factorial2k import _checks, bayes, harness, neyman, population, sensitivity
 from factorial2k.design import build_model_matrix
 
@@ -165,6 +166,24 @@ class TestNoSilentCoercion:
         monkeypatch.setattr(_checks, "whole_number", scanned)
         obs = ObservedData(k=1, n=np.array([10, 12]), n_obs=np.array([3, 4], dtype=np.int32))
         assert obs.n_obs.dtype == np.int64
+
+    def test_case_file_keeps_integral_floats(self, tmp_path):
+        as_ints = tmp_path / "ints.csv"
+        as_ints.write_text("8,12,10,10\n")
+        as_floats = tmp_path / "floats.csv"
+        as_floats.write_text("8.0,12,10.0,10\n")
+        (a,) = harness.load_fixture_cases(as_ints, expected_total=40)
+        (b,) = harness.load_fixture_cases(as_floats, expected_total=40)
+        assert b.counts.counts.dtype == np.int64
+        assert b.counts.counts.tolist() == a.counts.counts.tolist() == [8, 12, 10, 10]
+        assert np.array_equal(a.true_effects, b.true_effects)
+
+    def test_case_file_rejects_fractions(self, tmp_path):
+        path = tmp_path / "cases.csv"
+        path.write_text("8,12,10,10\n\n8.5,11.5,10,10\n")
+        message = f"{path}: row 3: cell counts: 8.5 is not a whole number"
+        with pytest.raises(CaseFileError, match=f"^{re.escape(message)}$"):
+            harness.load_fixture_cases(path)
 
     def test_cell_counts_reject_fractions(self):
         with pytest.raises(ValueError, match="cell counts"):
