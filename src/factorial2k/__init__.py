@@ -17,7 +17,7 @@ from .assignment import (
     observe,
 )
 from .bayes import PriorSpec
-from .design import ModelMatrix, build_model_matrix, treatment_combinations
+from .design import IntervalReport, ModelMatrix, build_model_matrix, treatment_combinations
 from .errors import CaseFileError, ResourceLimitError, UnsupportedRepresentationError
 from .harness import (
     CoverageReport,
@@ -29,7 +29,7 @@ from .harness import (
     load_fixture_cases,
     run_study,
 )
-from .neyman import IntervalReport, confidence_interval, point_estimate, variance_estimate
+from .neyman import confidence_interval, point_estimate, variance_estimate
 from .population import (
     CellCounts,
     Estimands,

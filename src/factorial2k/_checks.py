@@ -112,13 +112,19 @@ def read_json_object(path, required, optional=()) -> dict:
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: expected a JSON object")
+    check_keys(raw, required, optional, path)
+    return raw
+
+
+def check_keys(raw: dict, required, optional, where) -> None:
+    """``raw`` holds every ``required`` key and no key outside ``required``
+    and ``optional``; a fault names ``where`` and the keys."""
     unknown = set(raw) - set(required) - set(optional)
     if unknown:
-        raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
+        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
     missing = set(required) - set(raw)
     if missing:
-        raise ValueError(f"{path}: missing keys {sorted(missing)}")
-    return raw
+        raise ValueError(f"{where}: missing keys {sorted(missing)}")
 
 
 def read_csv_rows(path, parse, header: bool = False, error=ValueError) -> list[tuple[int, list]]:

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__, bayes, harness, neyman, sensitivity
 from ._checks import check_effect, csv_number, read_csv_rows, read_json_object, whole_number
 from .assignment import ObservedData
-from .design import build_model_matrix
+from .design import IntervalReport, build_model_matrix
 from .errors import ResourceLimitError
 
 EXIT_OK = 0
@@ -117,8 +117,10 @@ def parse_rho_grid(spec: str) -> np.ndarray:
         if len(parts) != 3:
             raise ValueError(f"grid must be start:stop:step, got {spec!r}")
         start, stop, step = (float(p) for p in parts)
-        if not (0 <= start <= stop < 1 and step > 0):
-            raise ValueError(f"grid {spec!r} needs 0 <= start <= stop < 1 and a positive step")
+        if not (0 <= start <= stop < 1 and 0 < step < math.inf):
+            raise ValueError(
+                f"grid {spec!r} needs 0 <= start <= stop < 1 and a positive finite step"
+            )
         steps = (stop - start) / step
         if not steps < MAX_GRID_POINTS:
             raise ValueError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
@@ -188,7 +190,7 @@ def _load_input(args) -> tuple[ObservedData, str | None]:
     return load_analysis_input(args.input)
 
 
-def _interval_dict(report: neyman.IntervalReport, point_key: str = "point") -> dict:
+def _interval_dict(report: IntervalReport, point_key: str = "point") -> dict:
     return {
         point_key: report.point,
         "variance": report.variance,
@@ -242,7 +244,7 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _sweep_row(report: neyman.IntervalReport) -> dict:
+def _sweep_row(report: IntervalReport) -> dict:
     return {
         "rho": report.rho,
         "lower": report.lower,

@@ -13,6 +13,8 @@ matrix H holds, column by column:
 Arms and effects are labelled 1-based throughout the package: arm j in
 1..J corresponds to row j-1 of the matrix, effect l in 1..J-1 to column
 l.  Column 0 is not an effect.
+
+``IntervalReport`` is the one interval type every method returns.
 """
 
 from __future__ import annotations
@@ -41,6 +43,39 @@ class ModelMatrix:
     @property
     def n_arms(self) -> int:
         return self.entries.shape[0]
+
+
+@dataclass(frozen=True)
+class IntervalReport:
+    """One interval estimate plus provenance.
+
+    ``method`` is one of ``"neyman"``, ``"bayes-indep"``,
+    ``"bayes-sensitivity"``.  Monte Carlo intervals carry the draw count
+    (``None`` for exact ones) and, for sensitivity runs, the AR(1)
+    parameter ``rho`` (``None`` for a custom association matrix).  For
+    quantile intervals the point need not sit midway, but lower <= upper
+    always holds.
+    """
+
+    effect: int
+    point: float
+    variance: float
+    lower: float
+    upper: float
+    level: float
+    method: str
+    mc_draws: int | None = None
+    rho: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.variance < 0:
+            raise ValueError("variance must be nonnegative")
+        if self.lower > self.upper:
+            raise ValueError("interval bounds out of order")
+
+    @property
+    def width(self) -> float:
+        return self.upper - self.lower
 
 
 def interaction_subsets(k: int) -> list[tuple[int, ...]]:

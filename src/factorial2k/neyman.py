@@ -9,47 +9,13 @@ true sampling variance by exactly that dropped term divided by N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
 from ._checks import check_effect, check_level, check_matrix
 from .assignment import ObservedData
-from .design import ModelMatrix
-
-
-@dataclass(frozen=True)
-class IntervalReport:
-    """One interval estimate plus provenance.
-
-    ``method`` is one of ``"neyman"``, ``"bayes-indep"``,
-    ``"bayes-sensitivity"``.  Monte Carlo intervals carry the draw count
-    (``None`` for exact ones) and, for sensitivity runs, the AR(1)
-    parameter ``rho`` (``None`` for a custom association matrix).  For
-    quantile intervals the point need not sit midway, but lower <= upper
-    always holds.
-    """
-
-    effect: int
-    point: float
-    variance: float
-    lower: float
-    upper: float
-    level: float
-    method: str
-    mc_draws: int | None = None
-    rho: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.variance < 0:
-            raise ValueError("variance must be nonnegative")
-        if self.lower > self.upper:
-            raise ValueError("interval bounds out of order")
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
+from .design import IntervalReport, ModelMatrix
 
 
 def normal_quantile(q: float) -> float:

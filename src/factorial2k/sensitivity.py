@@ -27,8 +27,7 @@ import numpy as np
 from ._checks import check_draws, check_effect, check_level, check_matrix
 from .assignment import ObservedData
 from .bayes import PriorSpec, draw_marginals, posterior_mean
-from .design import ModelMatrix, lattice_step
-from .neyman import IntervalReport
+from .design import IntervalReport, ModelMatrix, lattice_step
 
 # Drawn marginals are clamped into [EPS, 1-EPS] before conditioning;
 # exact 0/1 draws are a measure-zero event but would divide by zero.

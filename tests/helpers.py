@@ -25,3 +25,13 @@ def random_observed(rng, k=2, min_n=5, max_n=60):
     n = rng.integers(min_n, max_n + 1, size=j)
     n_obs = rng.binomial(n, rng.uniform(0.05, 0.95, size=j))
     return ObservedData(k=k, n=n, n_obs=n_obs)
+
+
+def pmf_quantiles(offset, pmf, step, level):
+    """Equal-tailed bounds of the lattice law ``step * (offset + i)`` with
+    probability ``pmf[i]``: the smallest value with P(X <= v) >= q for the
+    lower bound, with P(X > v) <= 1 - q for the upper one, each tail summed
+    from its own end (the exact interval's rule, without its trimming)."""
+    lower = np.count_nonzero(np.cumsum(pmf) < (1.0 - level) / 2.0)
+    upper = np.count_nonzero(np.cumsum(pmf[::-1])[::-1][1:] > 1.0 - (1.0 + level) / 2.0)
+    return step * (offset + lower), step * (offset + upper)

@@ -14,11 +14,13 @@ from factorial2k.bayes import (
     posterior_variance,
     posterior_variance_large_n,
     predictive_pmf,
+    TRIM,
+    _effect_laws,
 )
 from factorial2k.design import build_model_matrix, lattice_step
 from factorial2k.neyman import point_estimate, variance_estimate
 
-from helpers import random_observed
+from helpers import pmf_quantiles, random_observed
 
 
 def mc_se_mean(values):
@@ -333,6 +335,17 @@ class TestExactInterval:
         report = exact_interval(trial_obs, h2, 2, prior, level)
         assert report.upper == lattice_step(2, trial_obs.n_units) * (offset + pmf.size - 1)
 
+    def test_tail_rounding_to_one_on_random_datasets(self):
+        """Far entries of the convolved law are round-off, zeroed where
+        negative; the upper bound must not depend on where that left a
+        positive entry."""
+        level = float(np.nextafter(1.0, 0.0))
+        for obs, matrix, prior in random_datasets(34, count=20):
+            for l in range(1, obs.n_arms):
+                offset, pmf = predictive_pmf(obs, matrix, l, prior)
+                report = exact_interval(obs, matrix, l, prior, level)
+                assert report.upper == lattice_step(obs.k, obs.n_units) * (offset + pmf.size - 1)
+
     def test_agrees_with_monte_carlo(self, trial_obs, h2):
         prior = PriorSpec.uniform(4)
         exact = exact_interval(trial_obs, h2, 2, prior, 0.95)
@@ -346,3 +359,43 @@ class TestExactInterval:
         wide = exact_interval(trial_obs, h2, 2, prior, 0.95)
         narrow = exact_interval(trial_obs, h2, 2, prior, 0.50)
         assert wide.lower <= narrow.lower <= narrow.upper <= wide.upper
+
+
+class TestTrimming:
+    """The exact interval trims each arm's pmf tails below TRIM times the
+    tail probability before convolving; its bounds must stay the quantiles
+    of the untrimmed law, also for arms with all, none or about 2% successes,
+    priors from 0.05 to 5, and levels up to 1 - 1e-9."""
+
+    LEVELS = (0.5, 0.95, 0.999, 1.0 - 1e-9)
+
+    @staticmethod
+    def datasets(seed, count):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            k = int(rng.integers(1, 4))
+            j = 2**k
+            n = rng.integers(2, 81, size=j)
+            near_two_percent = np.rint(0.02 * n).astype(int) + rng.integers(0, 2, size=j)
+            n_obs = np.choose(
+                rng.integers(0, 4, size=j),
+                [np.zeros(j, dtype=int), n, np.minimum(near_two_percent, n), rng.binomial(n, 0.5)],
+            )
+            alpha, beta = np.exp(rng.uniform(math.log(0.05), math.log(5.0), size=(2, j)))
+            yield ObservedData(k=k, n=n, n_obs=n_obs), k, PriorSpec(alpha=alpha, beta=beta)
+
+    def test_bounds_equal_untrimmed_quantiles(self):
+        mismatches, trimmed = [], 0
+        for obs, k, prior in self.datasets(33, 3000):
+            matrix, step = build_model_matrix(k), lattice_step(k, obs.n_units)
+            l = 1 + int(obs.n_obs.sum()) % (obs.n_arms - 1)
+            offset, pmf = predictive_pmf(obs, matrix, l, prior)
+            for level in self.LEVELS:
+                report = exact_interval(obs, matrix, l, prior, level)
+                if (report.lower, report.upper) != pmf_quantiles(offset, pmf, step, level):
+                    mismatches.append((obs, l, prior, level))
+            cuts = (TRIM * 0.025, TRIM * 0.025)
+            [(_, _, law)] = _effect_laws(obs.n, obs.n_obs[None], matrix.entries[:, l], prior, cuts)
+            trimmed += law.shape[1] < pmf.size
+        assert not mismatches
+        assert trimmed > 2000  # the trim is not idle on these datasets

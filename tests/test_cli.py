@@ -135,6 +135,11 @@ class TestSensitivity:
         cp = run_cli("sensitivity", "--input", AHLUWALIA, "--effect", "2", "--grid", "1.2")
         assert cp.returncode == 2
 
+    def test_infinite_grid_step_is_rejected(self):
+        """An infinite step would make 0 * inf a NaN grid point."""
+        with pytest.raises(ValueError, match="positive finite step"):
+            cli.parse_rho_grid("0.0:0.0:inf")
+
     def test_custom_gamma_matrix(self, tmp_path):
         gamma = tmp_path / "gamma.csv"
         gamma.write_text("0,0.5,0.5,0.5\n0.5,0,0.5,0.5\n0.5,0.5,0,0.5\n0.5,0.5,0.5,0\n")
@@ -437,6 +442,18 @@ class TestSimulate:
         path.write_text("{")
         cp = run_cli("simulate", "--config", path)
         assert cp.returncode == 2
+
+    def test_misspelt_generator_key_exits_2(self, tmp_path, capsys):
+        """A misspelt ``cells`` must not be ignored, or the study runs on 16 cells."""
+        path = tmp_path / "study.json"
+        spec = {"n_cases": 2, "N": 40, "cels": 4, "seed": 9}
+        path.write_text(json.dumps({
+            "cases": spec, "arms": [10, 10, 10, 10], "effect": 1, "replications": 5, "seed": 3,
+        }))
+        argv = ["simulate", "--config", str(path), "--out-csv", str(tmp_path / "c.csv")]
+        assert cli.main(argv) == 2
+        assert f"{path}: generator spec: unknown keys ['cels']" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
 
 
 class TestGenCases:

@@ -98,3 +98,13 @@ class TestTreatmentCombinations:
         assert combos[-1].tolist() == [1, 1, 1]
         # all combinations distinct
         assert len({tuple(row) for row in combos.tolist()}) == 8
+
+
+def test_interval_report_lives_in_design():
+    """Every method returns the one type in ``design``; the old import and
+    the package export name it too."""
+    import factorial2k
+    from factorial2k import design, neyman
+
+    assert neyman.IntervalReport is design.IntervalReport is factorial2k.IntervalReport
+    assert design.IntervalReport.__module__ == "factorial2k.design"

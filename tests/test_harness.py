@@ -19,7 +19,7 @@ from factorial2k.harness import (
     run_study,
 )
 
-from helpers import CASE_1
+from helpers import CASE_1, pmf_quantiles
 
 
 def toy_case(case_id=1, total=40):
@@ -225,6 +225,21 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match="missing"):
             StudyConfig.from_json(path)
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"n_cases": 5, "N": 40, "cels": 4, "seed": 9}, "generator spec: unknown keys ['cels']"),
+            ({"n_cases": 5, "cells": 16, "seed": 9}, "generator spec: missing keys ['N']"),
+        ],
+    )
+    def test_generator_spec_keys_checked(self, tmp_path, spec, message):
+        path = tmp_path / "study.json"
+        config = {"cases": spec, "arms": [10, 10, 10, 10], "effect": 1, "replications": 10, "seed": 3}
+        path.write_text(json.dumps(config))
+        with pytest.raises(ValueError) as info:
+            StudyConfig.from_json(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "study.json"
         path.write_text(
@@ -295,6 +310,46 @@ class TestRunStudy:
         config = StudyConfig.from_json(write_toy_config(tmp_path, toy_rows(1), effect=4))
         with pytest.raises(ValueError):
             run_study(config, threads=1)
+
+
+class TestBatchedBayes:
+    """``coverage_experiment`` computes every replication's exact interval in
+    one trimmed, batched call; replication by replication, through the
+    untrimmed law, it must count the same coverage and the same widths."""
+
+    REPLICATIONS = 100
+
+    def reference(self, case, config):
+        table, matrix = from_cell_counts(case.counts), build_model_matrix(case.counts.k)
+        arms, true_value = np.array(config.arms), float(case.true_effects[config.effect - 1])
+        prior, step = bayes.PriorSpec.uniform(table.n_arms), lattice_step(case.counts.k, case.n_units)
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(case.case_id,)))
+        covered, width_sum = 0, 0.0
+        for stream in rng.spawn(self.REPLICATIONS):
+            obs = harness.observe(table, harness.draw_assignment(arms, case.n_units, stream))
+            offset, pmf = bayes.predictive_pmf(obs, matrix, config.effect, prior)
+            lower, upper = pmf_quantiles(offset, pmf, step, config.level)
+            covered += lower <= true_value <= upper
+            width_sum += upper - lower
+        return covered / self.REPLICATIONS, width_sum / self.REPLICATIONS
+
+    def batched(self, case, config):
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(case.case_id,)))
+        [row] = coverage_experiment(
+            case, config.arms, config.effect, self.REPLICATIONS, config.level, ["bayes-indep"], rng
+        )
+        return row
+
+    @pytest.mark.parametrize("study", ["study_balanced.json", "study_imbalanced.json"])
+    def test_equals_untrimmed_per_replication_reference(self, monkeypatch, study):
+        config = StudyConfig.from_json(data_path(study))
+        for case in harness.resolve_cases(config)[:3]:
+            row = self.batched(case, config)
+            assert (row.coverage, row.mean_width) == self.reference(case, config)
+            for budget in (1, 10**12):  # one row per chunk, all rows in one chunk
+                monkeypatch.setattr(bayes, "CHUNK_CELLS", budget)
+                assert self.batched(case, config) == row
+            monkeypatch.undo()
 
 
 class TestImbalancedStudy:
