@@ -20,6 +20,14 @@ MIN_INTERVAL_DRAWS = 1000
 # 256 MiB.
 MAX_DRAW_CELLS = 2**25
 
+MAX_FACTORS = 10  # J x J dense storage stays trivial up to 1024 x 1024
+
+
+def check_factors(k) -> None:
+    """Factor count K; callers check it before they form 2^K."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 1 <= k <= MAX_FACTORS:
+        raise ValueError(f"factor count must be an integer in 1..{MAX_FACTORS}, got {k!r}")
+
 
 def check_effect(l: int, n_arms: int) -> None:
     if not 1 <= l <= n_arms - 1:

@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._checks import check_arms, whole_numbers
+from ._checks import check_arms, check_factors, whole_numbers
 from .errors import ResourceLimitError
 from .population import PotentialTable
 
@@ -45,6 +45,7 @@ class ObservedData:
     n_obs: np.ndarray  # (J,) success counts, 0 <= n_obs <= n
 
     def __post_init__(self) -> None:
+        check_factors(self.k)
         j = 2**self.k
         n = whole_numbers(self.n, "arm sizes")
         n_obs = whole_numbers(self.n_obs, "success counts")
@@ -54,6 +55,9 @@ class ObservedData:
             raise ValueError("every arm needs at least 2 assigned units")
         if (n_obs < 0).any() or (n_obs > n).any():
             raise ValueError("success counts must satisfy 0 <= n_obs <= n")
+        units = sum(n.tolist())  # Python ints: an int64 sum could wrap
+        if units > 2**53:  # keeps N, J x N and every lattice index exact in int64 and float64
+            raise ValueError(f"total unit count must not exceed 2^53, got {units}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "n_obs", n_obs)
         self.n.setflags(write=False)

@@ -205,7 +205,10 @@ def cmd_analyze(args) -> int:
     prior = _parse_prior(args.alpha, args.beta, obs.n_arms)
     seed = _parse_seed(args.seed)
     effects = _parse_effects(args.effects, obs.n_arms)
-    grid = parse_rho_grid(args.rho_grid) if args.rho_grid else None
+    grid = None if args.rho_grid is None else parse_rho_grid(args.rho_grid)
+    if grid is None and args.sweep_draws is not None:
+        raise ValueError("--sweep-draws needs --rho-grid")
+    draws = 50_000 if args.sweep_draws is None else args.sweep_draws
 
     rows = []
     for l in effects:
@@ -218,11 +221,10 @@ def cmd_analyze(args) -> int:
         }
         if grid is not None:
             result = sensitivity.sweep(
-                obs, matrix, l, prior, grid, args.sweep_draws, args.level,
-                _substream(seed, _KEY_SWEEP, l),
+                obs, matrix, l, prior, grid, draws, args.level, _substream(seed, _KEY_SWEEP, l)
             )
             row["sensitivity"] = {
-                "draws_per_rho": args.sweep_draws,
+                "draws_per_rho": draws,
                 "conservative": _sweep_row(result.conservative),
                 "intervals": [_sweep_row(r) for r in result.reports],
             }
@@ -286,7 +288,7 @@ def cmd_sensitivity(args) -> int:
         "prior": {"alpha": prior.alpha.tolist(), "beta": prior.beta.tolist()},
         "seed": seed,
     }
-    if args.gamma_csv:
+    if args.gamma_csv is not None:
         structure = load_gamma_csv(args.gamma_csv)
         report = sensitivity.interval(
             obs, matrix, args.effect, prior, structure, args.draws, args.level, rng
@@ -391,15 +393,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--effects", default="all", help='effect selector: "all" or comma list')
     p.add_argument("--rho-grid", help="optional association sweep grid, e.g. 0:0.99:0.01")
     p.add_argument(
-        "--sweep-draws", type=int, default=50_000, help="draws per grid point (default 50000)"
+        "--sweep-draws", type=int, help="draws per grid point with --rho-grid (default 50000)"
     )
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sensitivity", help="association sweep for one effect")
     add_input_flags(p)
     p.add_argument("--effect", type=int, required=True, help="effect index (1-based)")
-    p.add_argument("--grid", default="0:0.99:0.01", help="rho grid (default 0:0.99:0.01)")
-    p.add_argument("--gamma-csv", help="custom JxJ association matrix (CSV) instead of the rho grid")
+    association = p.add_mutually_exclusive_group()
+    association.add_argument("--grid", default="0:0.99:0.01", help="rho grid (default 0:0.99:0.01)")
+    association.add_argument(
+        "--gamma-csv", help="custom JxJ association matrix (CSV) instead of the rho grid"
+    )
     p.add_argument("--draws", type=int, default=50_000, help="draws per grid point (default 50000)")
     p.add_argument("--csv-out", default="sensitivity.csv", help="sweep CSV path")
     p.set_defaults(func=cmd_sensitivity)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_FACTORS = 10  # J x J dense storage stays trivial up to 1024 x 1024
+from ._checks import check_factors
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,7 @@ def build_model_matrix(k: int) -> ModelMatrix:
     2^(f-1) times.  Interaction columns are entry-wise products of
     main-effect columns, in ``interaction_subsets`` order.
     """
-    if not isinstance(k, int) or not 1 <= k <= MAX_FACTORS:
-        raise ValueError(f"factor count must be an integer in 1..{MAX_FACTORS}, got {k!r}")
+    check_factors(k)
     j = 2**k
     cols = [np.ones(j, dtype=np.int64)]
     for f in range(1, k + 1):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_arms, check_effect, check_matrix, whole_numbers
+from ._checks import check_arms, check_effect, check_factors, check_matrix, whole_numbers
 from .design import ModelMatrix
 from .errors import UnsupportedRepresentationError
 
@@ -39,6 +39,7 @@ class PotentialTable:
     outcomes: np.ndarray  # (N, 2^K) array of 0/1
 
     def __post_init__(self) -> None:
+        check_factors(self.k)
         j = 2**self.k
         if self.outcomes.ndim != 2 or self.outcomes.shape[1] != j:
             raise ValueError(f"outcome table must have {j} columns for K={self.k}")
@@ -66,6 +67,7 @@ class CellCounts:
 
     def __post_init__(self) -> None:
         _check_cell_form(self.k)
+        check_factors(self.k)
         n_cells = 2 ** (2**self.k)
         counts = whole_numbers(self.counts, "cell counts")
         if counts.ndim != 1 or counts.shape[0] != n_cells:

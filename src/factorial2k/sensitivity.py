@@ -20,6 +20,7 @@ the independent-model draw.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,6 @@ from .design import IntervalReport, ModelMatrix, lattice_step
 # Drawn marginals are clamped into [EPS, 1-EPS] before conditioning;
 # exact 0/1 draws are a measure-zero event but would divide by zero.
 MARGINAL_EPS = 1e-12
-
-DEFAULT_RHO_GRID = np.round(np.arange(0, 100) * 0.01, 2)
 
 
 @dataclass(frozen=True)
@@ -124,24 +123,22 @@ def imputed_counts(
         B_{j|j'=0} ~ Binomial(n_j' - n_j'^obs, Pr{j=1 | j'=0})
         C_j = sum over j' != j of both counts   (so 0 <= C_j <= N - n_j)
 
-    Returns an (m, J) array, one row per row of ``pi``; the drawn
-    marginals are clamped away from 0/1 before conditioning.
+    Returns an int64 (m, J) array, one row per row of ``pi``; the drawn
+    marginals are clamped away from 0/1 before conditioning.  Random
+    numbers are consumed target arm by target arm, then conditioning arm
+    by conditioning arm, each pair drawing all of its B_{j|j'=1} before
+    all of its B_{j|j'=0}.
     """
     if gamma.n_arms != obs.n_arms:
         raise ValueError(
             f"association matrix is {gamma.n_arms}x{gamma.n_arms}, data has {obs.n_arms} arms"
         )
     p = np.atleast_2d(np.clip(pi, MARGINAL_EPS, 1.0 - MARGINAL_EPS))
-    n_draws, n_arms = p.shape
-    imputed = np.zeros((n_draws, n_arms))
-    for target in range(n_arms):
-        for cond in range(n_arms):
-            if cond == target:
-                continue
-            g = gamma.gamma[cond, target]
-            given_one, given_zero = conditional_probs(p[:, cond], p[:, target], g)
-            imputed[:, target] += rng.binomial(int(obs.n_obs[cond]), given_one)
-            imputed[:, target] += rng.binomial(int(obs.n[cond] - obs.n_obs[cond]), given_zero)
+    seen = np.stack([obs.n_obs, obs.n - obs.n_obs])[:, :, None]  # (2, J, 1): with 1, with 0
+    imputed = np.zeros(p.shape, dtype=np.int64)
+    for target, cond in itertools.permutations(range(obs.n_arms), 2):
+        probs = np.stack(conditional_probs(p[:, cond], p[:, target], gamma.gamma[cond, target]))
+        imputed[:, target] += rng.binomial(seen[:, cond], probs).sum(axis=0)
     return imputed
 
 

@@ -273,6 +273,25 @@ class TestInputValidation:
         assert "effect: 1.9 is not a whole number" in cp.stderr
 
 
+    @pytest.mark.parametrize("k", [-1, 0, 11, 100_000, 10**12])
+    def test_factor_count(self, tmp_path, capsys, k):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"K": k, "n": [10, 10], "n_obs": [3, 4]}))
+        assert cli.main(["analyze", "--input", str(path), "--seed", "1"]) == 2
+        assert f"factor count must be an integer in 1..10, got {k}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["analyze"], ["sensitivity", "--effect", "1"]])
+    def test_total_units_that_wrap_int64(self, tmp_path, capsys, command):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"K": 1, "n": [2**62, 2**62], "n_obs": [1, 1]}))
+        argv = [
+            *command, "--input", str(path), "--seed", "1", "--out", str(tmp_path / "r.json"),
+            *(["--csv-out", str(tmp_path / "s.csv")] if command[0] == "sensitivity" else []),
+        ]
+        assert cli.main(argv) == 2
+        assert f"total unit count must not exceed 2^53, got {2**63}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_repeated_effect(self, capsys):
         argv = ["analyze", "--input", str(AHLUWALIA), "--seed", "1", "--effects", "2,2"]
         assert cli.main(argv) == 2
@@ -283,6 +302,53 @@ class TestInputValidation:
         path.write_text(json.dumps({"K": 1, "n": [10, 12], "n_obs": [3, 4], "label": 5}))
         assert cli.main(["analyze", "--input", str(path), "--seed", "1"]) == 2
         assert f"{path}: 'label' must be a string, got 5" in capsys.readouterr().err
+
+
+class TestSweepFlags:
+    """A sweep flag that would be ignored is an error, and nothing is written."""
+
+    def test_grid_with_gamma_csv(self, tmp_path, capsys):
+        gamma = tmp_path / "gamma.csv"
+        gamma.write_text("0,0.5,0.5,0.5\n0.5,0,0.5,0.5\n0.5,0.5,0,0.5\n0.5,0.5,0.5,0\n")
+        argv = [
+            "sensitivity", "--input", str(AHLUWALIA), "--effect", "1", "--gamma-csv", str(gamma),
+            "--grid", "0:0.5:0.1", "--seed", "1", "--csv-out", str(tmp_path / "s.csv"),
+            "--out", str(tmp_path / "r.json"),
+        ]
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [gamma]
+
+    def test_sweep_draws_without_rho_grid(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = ["analyze", "--input", str(AHLUWALIA), "--seed", "1", "--sweep-draws", "5"]
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert "--sweep-draws needs --rho-grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_rho_grid(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = ["analyze", "--input", str(AHLUWALIA), "--seed", "1", "--rho-grid", ""]
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert "could not convert string to float" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_gamma_csv_path(self, tmp_path, capsys):
+        argv = [
+            "sensitivity", "--input", str(AHLUWALIA), "--effect", "2", "--gamma-csv", "",
+            "--seed", "1", "--csv-out", str(tmp_path / "s.csv"), "--out", str(tmp_path / "r.json"),
+        ]
+        assert cli.main(argv) == 2
+        assert "No such file or directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_draws_default_with_rho_grid(self, capsys):
+        argv = ["analyze", "--input", str(AHLUWALIA), "--seed", "1", "--effects", "2"]
+        assert cli.main([*argv, "--rho-grid", "0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["effects"][0]["sensitivity"]["draws_per_rho"] == 50_000
 
 
 class TestReaders:

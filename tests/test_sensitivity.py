@@ -5,6 +5,7 @@ from factorial2k import ObservedData
 from factorial2k.bayes import PriorSpec, draw_marginals, posterior_mean
 from factorial2k.bayes import draw_effect as draw_effect_indep
 from factorial2k.sensitivity import (
+    MARGINAL_EPS,
     conditional_probs,
     draw_effect,
     gamma_ar1,
@@ -157,7 +158,43 @@ class TestGammaStructures:
             gamma_custom(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+def replay_double_loop(obs, pi, gamma, rng):
+    """The sampler's random-number contract written out as two binomial
+    calls per (target, conditioning) arm pair, targets outermost."""
+    p = np.atleast_2d(np.clip(pi, MARGINAL_EPS, 1.0 - MARGINAL_EPS))
+    counts = np.zeros(p.shape, dtype=np.int64)
+    for target in range(obs.n_arms):
+        for cond in range(obs.n_arms):
+            if cond == target:
+                continue
+            given_one, given_zero = conditional_probs(
+                p[:, cond], p[:, target], gamma.gamma[cond, target]
+            )
+            counts[:, target] += rng.binomial(int(obs.n_obs[cond]), given_one)
+            counts[:, target] += rng.binomial(int(obs.n[cond] - obs.n_obs[cond]), given_zero)
+    return counts
+
+
 class TestImputedCounts:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("association", [0.0, 0.5, 0.9, "custom"])
+    @pytest.mark.parametrize("draws", [None, 1000])
+    def test_random_numbers_match_double_loop(self, k, association, draws):
+        setup = np.random.default_rng([44, k])
+        n = setup.integers(2, 300, size=2**k)
+        obs = ObservedData(k=k, n=n, n_obs=setup.integers(0, n + 1))
+        if association == "custom":
+            raw = setup.uniform(0.0, 0.95, size=(2**k, 2**k))
+            gamma = gamma_custom(np.minimum(raw, raw.T))
+        else:
+            gamma = gamma_ar1(association, 2**k)
+        pi = setup.uniform(size=2**k if draws is None else (draws, 2**k))
+        ours, theirs = np.random.default_rng(45), np.random.default_rng(45)
+        counts = imputed_counts(obs, pi, gamma, ours)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, replay_double_loop(obs, pi, gamma, theirs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
     def test_counts_within_missing_support(self, trial_obs):
         rng = np.random.default_rng(32)
         prior = PriorSpec.uniform(4)

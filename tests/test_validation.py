@@ -97,6 +97,43 @@ class TestDrawBound:
             sensitivity.interval(trial_obs, h2, 1, prior, gamma, draws, 0.95, NoDraws())
 
 
+class TestFactorCount:
+    """K is checked once, before anything forms 2^K."""
+
+    MESSAGE = "factor count must be an integer in 1..10, got {}"
+
+    @pytest.mark.parametrize("k", [-1, 0, 11, 100_000, 10**12, 2.0, True])
+    def test_one_message_everywhere(self, k):
+        calls = [
+            lambda: ObservedData(k=k, n=[10, 10], n_obs=[3, 4]),
+            lambda: build_model_matrix(k),
+            lambda: population.PotentialTable(k=k, outcomes=np.zeros((3, 2), dtype=np.int64)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{re.escape(self.MESSAGE.format(repr(k)))}$"):
+                call()
+
+    def test_cell_counts(self):
+        with pytest.raises(ValueError, match=f"^{re.escape(self.MESSAGE.format(-1))}$"):
+            CellCounts(k=-1, counts=[1, 2, 3, 4])
+
+
+class TestTotalUnits:
+    """N is at most 2^53, so N, J x N and every lattice index stay exact."""
+
+    def test_bound_is_inclusive(self):
+        assert ObservedData(k=1, n=[2**52, 2**52], n_obs=[1, 1]).n_units == 2**53
+        message = f"total unit count must not exceed 2^53, got {2**53 + 1}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ObservedData(k=1, n=[2**52, 2**52 + 1], n_obs=[1, 1])
+
+    def test_sum_that_wraps_int64(self):
+        # 1024 arms of 2^53 units sum to 2^63, which int64 wraps to a negative N
+        message = f"total unit count must not exceed 2^53, got {2**63}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ObservedData(k=10, n=[2**53] * 1024, n_obs=[0] * 1024)
+
+
 class TestLatticeBound:
     def test_admits_large_designs(self):
         # K=7 with 100 units per arm: 128 arms x 12,700 missing outcomes
