@@ -9,7 +9,6 @@ coverage simulation harness.  Arms are labelled 1..J=2^K and effects
 """
 
 from .assignment import (
-    Assignment,
     ObservedData,
     count_assignments,
     draw_assignment,
@@ -45,7 +44,6 @@ from .sensitivity import GammaStructure, SweepResult, conditional_probs, gamma_a
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment",
     "CaseFileError",
     "CellCounts",
     "CoverageReport",

@@ -20,6 +20,11 @@ MIN_INTERVAL_DRAWS = 1000
 # 256 MiB.
 MAX_DRAW_CELLS = 2**25
 
+# Upper bound on the binomial draws of one sensitivity interval: each of
+# the J(J-1) ordered arm pairs draws 2 x draws counts.  K = 5 at 50,000
+# draws (99.2M) stays within it.
+MAX_SWEEP_DRAWS = 2**27
+
 MAX_FACTORS = 10  # J x J dense storage stays trivial up to 1024 x 1024
 
 
@@ -53,6 +58,30 @@ def check_draws(draws: int, n_arms: int) -> None:
         raise ResourceLimitError(
             f"{draws} draws x {n_arms} arms exceed the bound of {MAX_DRAW_CELLS} cells"
         )
+
+
+def check_sweep_work(draws: int, n_arms: int) -> None:
+    """The 2 J(J-1) draws binomial draws of one sensitivity interval stay
+    within ``MAX_SWEEP_DRAWS``; callers check before they draw anything."""
+    work = 2 * n_arms * (n_arms - 1) * draws
+    if work > MAX_SWEEP_DRAWS:
+        raise ResourceLimitError(
+            f"{draws} draws over {n_arms * (n_arms - 1)} arm pairs make {work} binomial draws, "
+            f"which exceed the bound of {MAX_SWEEP_DRAWS}"
+        )
+
+
+def check_methods(methods, known) -> tuple:
+    """``methods`` as a tuple: nonempty, without repeats, each in ``known``."""
+    methods = tuple(methods)
+    if not methods:
+        raise ValueError("'methods' must name at least one method")
+    if any(methods.count(m) > 1 for m in methods):
+        raise ValueError(f"'methods' lists a method twice: {list(methods)}")
+    for method in methods:
+        if method not in known:
+            raise ValueError(f"unknown method {method!r}; supported: {known}")
+    return methods
 
 
 def check_lattice(points: int) -> None:

@@ -23,20 +23,6 @@ MAX_ENUMERATION = 10_000_000
 
 
 @dataclass(frozen=True)
-class Assignment:
-    """Arm labels per unit: ``arm_of[i]`` is the 1-based arm of unit i."""
-
-    arm_of: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.arm_of.setflags(write=False)
-
-    @property
-    def n_units(self) -> int:
-        return self.arm_of.shape[0]
-
-
-@dataclass(frozen=True)
 class ObservedData:
     """Arm sizes and success counts, the sole input to all inference."""
 
@@ -77,25 +63,28 @@ class ObservedData:
         return self.n_obs / self.n
 
 
-def draw_assignment(arms: np.ndarray, n_units: int, rng: np.random.Generator) -> Assignment:
+def draw_assignment(arms: np.ndarray, n_units: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform completely randomized assignment into groups of the given sizes.
 
-    A uniform random permutation of the units is split into consecutive
-    blocks, which makes every partition into labelled groups of sizes
-    n_1..n_J equally likely.
+    Returns the read-only int64 arm vector: entry i is unit i's 1-based
+    arm.  A uniform random permutation of the units is split into
+    consecutive blocks, which makes every partition into labelled groups
+    of sizes n_1..n_J equally likely.
     """
     arms = check_arms(arms, n_units)
     perm = rng.permutation(n_units)
     arm_of = np.empty(n_units, dtype=np.int64)
     arm_of[perm] = np.repeat(np.arange(1, arms.size + 1), arms)
-    return Assignment(arm_of=arm_of)
+    arm_of.setflags(write=False)
+    return arm_of
 
 
-def observe(table: PotentialTable, assignment: Assignment) -> ObservedData:
-    """Reveal each assigned unit's outcome and tally per-arm successes."""
-    if assignment.n_units != table.n_units:
+def observe(table: PotentialTable, arm_of: np.ndarray) -> ObservedData:
+    """Reveal each unit's outcome under its arm ``arm_of[i]`` (1-based) and
+    tally per-arm successes."""
+    if arm_of.shape[0] != table.n_units:
         raise ValueError("assignment and table describe different unit counts")
-    column = assignment.arm_of - 1
+    column = arm_of - 1
     seen = table.outcomes[np.arange(table.n_units), column].astype(np.int64, copy=False)
     # one bincount over (arm, outcome) pairs: row j holds arm j+1's failures, successes
     tally = np.bincount(2 * column + seen, minlength=2 * table.n_arms).reshape(-1, 2)
@@ -110,8 +99,8 @@ def count_assignments(n_units: int, arms: np.ndarray) -> int:
     return math.factorial(n_units) // math.prod(math.factorial(int(s)) for s in arms)
 
 
-def enumerate_assignments(n_units: int, arms: np.ndarray) -> Iterator[Assignment]:
-    """Yield every distinct assignment exactly once.
+def enumerate_assignments(n_units: int, arms: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield every distinct assignment exactly once, as a read-only arm vector.
 
     Exhaustive-enumeration oracle for small populations; refuses to run
     when the multinomial coefficient exceeds ``MAX_ENUMERATION``.
@@ -124,10 +113,12 @@ def enumerate_assignments(n_units: int, arms: np.ndarray) -> Iterator[Assignment
     sizes = [int(s) for s in arms]
     arm_of = np.empty(n_units, dtype=np.int64)
 
-    def fill(remaining: tuple[int, ...], arm: int) -> Iterator[Assignment]:
+    def fill(remaining: tuple[int, ...], arm: int) -> Iterator[np.ndarray]:
         if arm == len(sizes):  # last arm takes whatever is left
             arm_of[list(remaining)] = arm
-            yield Assignment(arm_of=arm_of.copy())
+            drawn = arm_of.copy()
+            drawn.setflags(write=False)
+            yield drawn
             return
         for chosen in itertools.combinations(remaining, sizes[arm - 1]):
             arm_of[list(chosen)] = arm

@@ -90,18 +90,14 @@ class PriorSpec:
 
 
 def draw_marginals(
-    obs: ObservedData, prior: PriorSpec, rng: np.random.Generator, draws: int | None = None
+    obs: ObservedData, prior: PriorSpec, rng: np.random.Generator, draws: int
 ) -> np.ndarray:
-    """Sample the conjugate posterior of the arm probabilities.
-
-    With ``draws=None`` returns a single J-vector; with ``draws=m`` an
-    (m, J) batch drawn with independent rows.
-    """
+    """Sample the conjugate posterior of the arm probabilities: a
+    (draws, J) batch drawn with independent rows."""
     _check_prior(obs.n_arms, prior)
     a = prior.alpha + obs.n_obs
     b = prior.beta + obs.n - obs.n_obs
-    size = None if draws is None else (int(draws), obs.n_arms)
-    return rng.beta(a, b, size=size)
+    return rng.beta(a, b, size=(int(draws), obs.n_arms))
 
 
 def draw_effect(
@@ -110,18 +106,16 @@ def draw_effect(
     l: int,
     pi: np.ndarray,
     rng: np.random.Generator,
-) -> float | np.ndarray:
-    """Posterior-predictive draw(s) of effect l given marginal probabilities.
+) -> np.ndarray:
+    """Posterior-predictive draws of effect l, one per row of the (m, J)
+    marginal probabilities ``pi``: an (m,) array.
 
-    Missing counts are drawn arm-by-arm as Binomial(N - n_j, pi_j);
-    returns a scalar for a (J,) pi vector, an (m,) array for an (m, J) one.
+    Missing counts are drawn arm-by-arm as Binomial(N - n_j, pi_j).
     """
     check_matrix(matrix, obs.k)
     check_effect(l, obs.n_arms)
-    b = rng.binomial(obs.n_units - obs.n, np.atleast_2d(pi))
-    totals = obs.n_obs + b
-    values = lattice_step(obs.k, obs.n_units) * (totals @ matrix.entries[:, l])
-    return values if pi.ndim == 2 else float(values[0])
+    totals = obs.n_obs + rng.binomial(obs.n_units - obs.n, pi)
+    return lattice_step(obs.k, obs.n_units) * (totals @ matrix.entries[:, l])
 
 
 def posterior_mean(obs: ObservedData, matrix: ModelMatrix, l: int, prior: PriorSpec) -> float:

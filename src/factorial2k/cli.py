@@ -73,10 +73,18 @@ def _emit_json(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _convert(text: str, convert, name: str):
+    """``convert(text)``; a failure names the flag or variable ``name``."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+
+
 def _parse_seed(value: str | None) -> int:
     if value is None:
         return int(np.random.SeedSequence().entropy) & MAX_SEED
-    seed = int(value)
+    seed = _convert(value, int, "--seed")
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"seed must fit in 64 bits, got {value}")
     return seed
@@ -86,7 +94,7 @@ def _parse_threads(value: int | None) -> int | None:
     """``--threads``, else a nonempty ``FACTORIAL_THREADS``, else None."""
     name, env = "--threads", os.environ.get("FACTORIAL_THREADS")
     if value is None and env:
-        name, value = "FACTORIAL_THREADS", int(env)
+        name, value = "FACTORIAL_THREADS", _convert(env, int, "FACTORIAL_THREADS")
     if value is not None and value < 1:
         raise ValueError(f"{name} must be at least 1")
     return value
@@ -94,11 +102,7 @@ def _parse_threads(value: int | None) -> int | None:
 
 def _parse_prior(alpha: str, beta: str, n_arms: int) -> bayes.PriorSpec:
     def parse(text: str, name: str) -> np.ndarray:
-        parts = [p.strip() for p in text.split(",")]
-        try:
-            values = [float(p) for p in parts]
-        except ValueError as exc:
-            raise ValueError(f"--{name}: {exc}") from exc
+        values = [_convert(p.strip(), float, f"--{name}") for p in text.split(",")]
         if len(values) == 1:
             values = values * n_arms
         if len(values) != n_arms:
@@ -108,15 +112,16 @@ def _parse_prior(alpha: str, beta: str, n_arms: int) -> bayes.PriorSpec:
     return bayes.PriorSpec(alpha=parse(alpha, "alpha"), beta=parse(beta, "beta"))
 
 
-def parse_rho_grid(spec: str) -> np.ndarray:
+def parse_rho_grid(spec: str, flag: str = "--rho-grid") -> np.ndarray:
     """Parse a sweep grid, ``start:stop:step`` (inclusive) or a comma list,
-    into a nonempty vector inside [0, 1); raise ``ValueError`` otherwise."""
+    into a nonempty vector inside [0, 1); raise ``ValueError`` otherwise,
+    naming ``flag`` when a value is no number."""
     spec = spec.strip()
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid must be start:stop:step, got {spec!r}")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (_convert(p, float, flag) for p in parts)
         if not (0 <= start <= stop < 1 and 0 < step < math.inf):
             raise ValueError(
                 f"grid {spec!r} needs 0 <= start <= stop < 1 and a positive finite step"
@@ -127,7 +132,7 @@ def parse_rho_grid(spec: str) -> np.ndarray:
         grid = np.round(start + step * np.arange(int(round(steps)) + 1), 12)
         grid = grid[grid <= stop + 1e-12]
     else:
-        grid = np.asarray([float(p) for p in spec.split(",")])
+        grid = np.asarray([_convert(p, float, flag) for p in spec.split(",")])
     if not ((grid >= 0) & (grid < 1)).all():  # also rejects NaN
         raise ValueError(f"grid values must lie in [0, 1), got {spec!r}")
     return grid
@@ -136,7 +141,7 @@ def parse_rho_grid(spec: str) -> np.ndarray:
 def _parse_effects(spec: str, n_arms: int) -> list[int]:
     if spec.strip().lower() == "all":
         return list(range(1, n_arms))
-    effects = [int(p) for p in spec.split(",")]
+    effects = [_convert(p, int, "--effects") for p in spec.split(",")]
     for i, l in enumerate(effects):
         check_effect(l, n_arms)
         if l in effects[:i]:
@@ -302,7 +307,7 @@ def cmd_sensitivity(args) -> int:
             }
         )
     else:
-        grid = parse_rho_grid(args.grid)
+        grid = parse_rho_grid(args.grid, "--grid")
         result = sensitivity.sweep(
             obs, matrix, args.effect, prior, grid, args.draws, args.level, rng
         )

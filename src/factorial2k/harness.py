@@ -27,6 +27,7 @@ from ._checks import (
     check_arms,
     check_effect,
     check_keys,
+    check_methods,
     csv_number,
     read_csv_rows,
     read_json_object,
@@ -129,7 +130,7 @@ def coverage_experiment(
 ) -> list[CoverageReport]:
     """Replicate randomization + inference on one case; report coverage.
 
-    Each replication draws a fresh assignment from its own stream and
+    Each replication draws a fresh arm vector from its own stream and
     observes the outcomes; the Neyman interval is built per replication,
     the exact Bayes intervals of all replications in one batched call.
     An interval covers when lower <= true effect <= upper.
@@ -137,10 +138,7 @@ def coverage_experiment(
     arms = check_arms(arms, case.n_units, 2**case.counts.k)
     if replications < 1:
         raise ValueError("need at least one replication")
-    methods = list(methods)
-    for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}; supported: {METHODS}")
+    methods = check_methods(methods, METHODS)
     table = from_cell_counts(case.counts)
     matrix = build_model_matrix(case.counts.k)
     true_value = float(case.true_effects[l - 1])
@@ -196,6 +194,9 @@ class StudyConfig:
     level: float = DEFAULT_LEVEL
     methods: tuple[str, ...] = METHODS
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "methods", check_methods(self.methods, METHODS))
+
     @classmethod
     def from_json(cls, path) -> "StudyConfig":
         """Parse a config file; a relative fixture path is resolved
@@ -224,13 +225,9 @@ class StudyConfig:
         for key, value in (("arms", raw["arms"]), ("methods", methods)):
             if not isinstance(value, list):
                 raise ValueError(f"{path}: '{key}' must be a JSON list, got {value!r}")
-        if not methods:
-            raise ValueError(f"{path}: 'methods' must name at least one method")
-        if any(methods.count(m) > 1 for m in methods):
-            raise ValueError(f"{path}: 'methods' lists a method twice: {methods}")
         if isinstance(level, bool) or not isinstance(level, (int, float)):
             raise ValueError(f"{path}: 'level' must be a number, got {level!r}")
-        return cls(
+        fields = dict(
             cases=cases,
             arms=tuple(whole_number(a, "arms") for a in raw["arms"]),
             effect=whole_number(raw["effect"], "effect"),
@@ -239,6 +236,10 @@ class StudyConfig:
             level=float(level),
             methods=tuple(methods),
         )
+        try:
+            return cls(**fields)
+        except ValueError as exc:  # the methods rule
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

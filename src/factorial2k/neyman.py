@@ -18,12 +18,6 @@ from .assignment import ObservedData
 from .design import IntervalReport, ModelMatrix
 
 
-def normal_quantile(q: float) -> float:
-    """Inverse standard normal CDF; ``statistics.StatisticsError`` (a
-    ``ValueError``) outside (0,1)."""
-    return NormalDist().inv_cdf(q)
-
-
 def point_estimate(obs: ObservedData, matrix: ModelMatrix, l: int) -> float:
     """Unbiased estimate of factorial effect l: 2^-(K-1) * h_l' p_hat."""
     check_matrix(matrix, obs.k)
@@ -49,7 +43,7 @@ def confidence_interval(
     check_level(level)
     point = point_estimate(obs, matrix, l)
     variance = variance_estimate(obs)
-    half = normal_quantile(0.5 + level / 2.0) * float(np.sqrt(variance))
+    half = NormalDist().inv_cdf(0.5 + level / 2.0) * float(np.sqrt(variance))
     return IntervalReport(
         effect=l,
         point=point,

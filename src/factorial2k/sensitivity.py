@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_draws, check_effect, check_level, check_matrix
+from ._checks import check_draws, check_effect, check_level, check_matrix, check_sweep_work
 from .assignment import ObservedData
 from .bayes import PriorSpec, draw_marginals, posterior_mean
 from .design import IntervalReport, ModelMatrix, lattice_step
@@ -103,8 +103,6 @@ def conditional_probs(pi_cond, pi_target, gamma) -> tuple:
     base = (1.0 - gamma) * pi_target
     given_one = base + gamma * (np.minimum(pi_cond, pi_target) / pi_cond)
     given_zero = base + gamma * np.maximum(pi_target - pi_cond, 0.0) / (1.0 - pi_cond)
-    if given_one.ndim == 0:
-        return float(given_one), float(given_zero)
     return given_one, given_zero
 
 
@@ -123,17 +121,17 @@ def imputed_counts(
         B_{j|j'=0} ~ Binomial(n_j' - n_j'^obs, Pr{j=1 | j'=0})
         C_j = sum over j' != j of both counts   (so 0 <= C_j <= N - n_j)
 
-    Returns an int64 (m, J) array, one row per row of ``pi``; the drawn
-    marginals are clamped away from 0/1 before conditioning.  Random
-    numbers are consumed target arm by target arm, then conditioning arm
-    by conditioning arm, each pair drawing all of its B_{j|j'=1} before
-    all of its B_{j|j'=0}.
+    Returns an int64 (m, J) array, one row per row of the (m, J) ``pi``;
+    the drawn marginals are clamped away from 0/1 before conditioning.
+    Random numbers are consumed target arm by target arm, then
+    conditioning arm by conditioning arm, each pair drawing all of its
+    B_{j|j'=1} before all of its B_{j|j'=0}.
     """
     if gamma.n_arms != obs.n_arms:
         raise ValueError(
             f"association matrix is {gamma.n_arms}x{gamma.n_arms}, data has {obs.n_arms} arms"
         )
-    p = np.atleast_2d(np.clip(pi, MARGINAL_EPS, 1.0 - MARGINAL_EPS))
+    p = np.clip(pi, MARGINAL_EPS, 1.0 - MARGINAL_EPS)
     seen = np.stack([obs.n_obs, obs.n - obs.n_obs])[:, :, None]  # (2, J, 1): with 1, with 0
     imputed = np.zeros(p.shape, dtype=np.int64)
     for target, cond in itertools.permutations(range(obs.n_arms), 2):
@@ -149,8 +147,9 @@ def draw_effect(
     pi: np.ndarray,
     gamma: GammaStructure,
     rng: np.random.Generator,
-) -> float | np.ndarray:
-    """Posterior-predictive draw(s) of effect l under the given association.
+) -> np.ndarray:
+    """Posterior-predictive draws of effect l under the given association,
+    one per row of the (m, J) ``pi``: an (m,) array.
 
     Combines the observed successes with one :func:`imputed_counts` draw:
     tau_l = 2^-(K-1) N^-1 sum_j h_lj (n_j^obs + C_j).  Zero association
@@ -159,8 +158,7 @@ def draw_effect(
     check_matrix(matrix, obs.k)
     check_effect(l, obs.n_arms)
     totals = obs.n_obs + imputed_counts(obs, pi, gamma, rng)
-    values = lattice_step(obs.k, obs.n_units) * (totals @ matrix.entries[:, l])
-    return values if pi.ndim == 2 else float(values[0])
+    return lattice_step(obs.k, obs.n_units) * (totals @ matrix.entries[:, l])
 
 
 def interval(
@@ -180,6 +178,7 @@ def interval(
     the variance is the Monte Carlo sample variance.
     """
     check_draws(draws, obs.n_arms)
+    check_sweep_work(draws, obs.n_arms)
     check_level(level)
     point = posterior_mean(obs, matrix, l, prior)
     pi = draw_marginals(obs, prior, rng, draws=draws)

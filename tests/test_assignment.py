@@ -18,7 +18,7 @@ class TestDrawAssignment:
     def test_arm_sizes_exact(self):
         rng = np.random.default_rng(0)
         a = draw_assignment(np.array([3, 4, 5]), 12, rng)
-        assert np.bincount(a.arm_of, minlength=4)[1:].tolist() == [3, 4, 5]
+        assert np.bincount(a, minlength=4)[1:].tolist() == [3, 4, 5]
 
     def test_unit_marginals_uniform(self):
         """Each unit should land in each equal-sized arm with probability
@@ -28,24 +28,24 @@ class TestDrawAssignment:
         for _ in range(100_000):
             a = draw_assignment(np.array([2, 2, 2, 2]), 8, rng)
             for unit in range(8):
-                counts[unit, a.arm_of[unit] - 1] += 1
+                counts[unit, a[unit] - 1] += 1
         for unit in range(8):
             assert stats.chisquare(counts[unit]).pvalue > 1e-3
 
     def test_degenerate_single_arm(self):
         rng = np.random.default_rng(1)
         a = draw_assignment(np.array([8]), 8, rng)
-        assert (a.arm_of == 1).all()
+        assert (a == 1).all()
 
     def test_fixed_seed_reproduces(self):
         a = draw_assignment(np.array([2, 2, 2, 2]), 8, np.random.default_rng(99))
         b = draw_assignment(np.array([2, 2, 2, 2]), 8, np.random.default_rng(99))
-        assert np.array_equal(a.arm_of, b.arm_of)
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
         a = draw_assignment(np.array([4, 4]), 8, np.random.default_rng(1))
         b = draw_assignment(np.array([4, 4]), 8, np.random.default_rng(2))
-        assert not np.array_equal(a.arm_of, b.arm_of)
+        assert not np.array_equal(a, b)
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -74,7 +74,7 @@ class TestObserve:
         obs = observe(case1_table, a)
         recount = np.zeros(4, dtype=int)
         for unit in range(800):
-            arm = a.arm_of[unit]
+            arm = a[unit]
             recount[arm - 1] += case1_table.outcomes[unit, arm - 1]
         assert np.array_equal(obs.n_obs, recount)
         assert obs.n_units == 800
@@ -100,8 +100,8 @@ class TestEnumerateAssignments:
     def test_assignments_distinct_and_sized(self):
         seen = set()
         for a in enumerate_assignments(6, np.array([2, 2, 2])):
-            assert np.bincount(a.arm_of, minlength=4)[1:].tolist() == [2, 2, 2]
-            seen.add(tuple(a.arm_of.tolist()))
+            assert np.bincount(a, minlength=4)[1:].tolist() == [2, 2, 2]
+            seen.add(tuple(a.tolist()))
         assert len(seen) == 90
 
     def test_resource_limit(self):
@@ -142,7 +142,7 @@ class TestLoopFreePath:
         arms = rng.integers(2, 30, size=2**k)
         n_units = int(arms.sum())
         drawn = draw_assignment(arms, n_units, np.random.default_rng(seed))
-        assert np.array_equal(drawn.arm_of, block_assignment(arms, n_units, seed))
+        assert np.array_equal(drawn, block_assignment(arms, n_units, seed))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_observe_matches_unit_sum(self, seed):
@@ -152,12 +152,12 @@ class TestLoopFreePath:
         table = random_table(rng, int(arms.sum()), k=k)
         assignment = draw_assignment(arms, table.n_units, np.random.default_rng(seed))
         obs = observe(table, assignment)
-        n, n_obs = unit_sum(table, assignment.arm_of)
+        n, n_obs = unit_sum(table, assignment)
         assert np.array_equal(obs.n, n) and np.array_equal(obs.n_obs, n_obs)
 
     def test_observe_on_every_assignment(self):
         table = random_table(np.random.default_rng(7), 8)
         for assignment in enumerate_assignments(8, np.array([2, 2, 2, 2])):
             obs = observe(table, assignment)
-            n, n_obs = unit_sum(table, assignment.arm_of)
+            n, n_obs = unit_sum(table, assignment)
             assert np.array_equal(obs.n, n) and np.array_equal(obs.n_obs, n_obs)

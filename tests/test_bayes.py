@@ -84,11 +84,6 @@ class TestDrawMarginals:
         pi = draw_marginals(obs, prior, rng, draws=100_000)
         assert pi.mean() == pytest.approx(0.0, abs=1e-5)
 
-    def test_single_draw_shape(self, trial_obs):
-        pi = draw_marginals(trial_obs, PriorSpec.uniform(4), np.random.default_rng(0))
-        assert pi.shape == (4,)
-        assert pi.ndim != 2
-
 
 class TestDrawEffect:
     def test_certain_success_imputation_nulls_contrasts(self, h2):

@@ -351,6 +351,40 @@ class TestSweepFlags:
         assert report["effects"][0]["sensitivity"]["draws_per_rho"] == 50_000
 
 
+class TestFlagErrors:
+    """A flag value that is no number names the flag and the text."""
+
+    INT = "invalid literal for int() with base 10:"
+    FLOAT = "could not convert string to float:"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "--seed", "abc"], f"--seed: {INT} 'abc'"),
+            (["simulate"], f"FACTORIAL_THREADS: {INT} 'abc'"),
+            (["analyze", "--effects", "1,x"], f"--effects: {INT} 'x'"),
+            (["analyze", "--rho-grid", "0,a"], f"--rho-grid: {FLOAT} 'a'"),
+            (["analyze", "--rho-grid", ""], f"--rho-grid: {FLOAT} ''"),
+            (["sensitivity", "--grid", "0:a:0.1"], f"--grid: {FLOAT} 'a'"),
+            (["sensitivity", "--grid", "0,,0.5"], f"--grid: {FLOAT} ''"),
+        ],
+        ids=["seed", "threads-env", "effects", "rho-grid", "empty-rho-grid", "grid", "grid-gap"],
+    )
+    def test_names_the_flag(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.setenv("FACTORIAL_THREADS", "abc")  # read by simulate only
+        out = tmp_path / "out"
+        if argv[0] == "simulate":
+            config = write_toy_config(tmp_path, toy_rows(1))
+            argv = [*argv, "--config", str(config), "--out-csv", str(out)]
+        else:
+            argv = [*argv, "--input", str(AHLUWALIA), "--out", str(out)]
+            if argv[0] == "sensitivity":
+                argv += ["--effect", "2", "--seed", "1", "--csv-out", str(tmp_path / "s.csv")]
+        assert cli.main(argv) == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "s.csv").exists()
+
+
 class TestReaders:
     """Outside files go through two shared readers: every error names the
     file, and the row for a CSV file."""
@@ -455,6 +489,20 @@ class TestResourceLimits:
         assert cli.main(["analyze", "--input", str(path), "--seed", "1"]) == 3
         assert "exceeds the bound" in capsys.readouterr().err
 
+    def test_sweep_work_bound(self, tmp_path, capsys):
+        """K = 7 at the default 50,000 draws would make 1.6e9 binomial
+        draws per grid point; it exits 3 before the first one."""
+        path = tmp_path / "k7.json"
+        path.write_text(json.dumps({"K": 7, "n": [4] * 128, "n_obs": [2] * 128}))
+        csv_out = tmp_path / "s.csv"
+        argv = [
+            "sensitivity", "--input", str(path), "--effect", "1", "--seed", "1",
+            "--csv-out", str(csv_out),
+        ]
+        assert cli.main(argv) == 3
+        assert "binomial draws, which exceed the bound" in capsys.readouterr().err
+        assert not csv_out.exists()
+
     def test_memory_error_maps_to_exit_3(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
             raise MemoryError("simulated allocation failure")
@@ -558,6 +606,13 @@ class TestEntryPoints:
         cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert cp.returncode == 0, cp.stderr
         assert cp.stdout.strip() == "[]"
+
+    def test_star_import_binds_all(self):
+        namespace = {}
+        exec("from factorial2k import *", namespace)
+        import factorial2k
+
+        assert all(name in namespace for name in factorial2k.__all__)
 
     def test_version_flag(self):
         cp = run_cli("--version")

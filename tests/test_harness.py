@@ -194,6 +194,22 @@ class TestCoverageExperiment:
                 np.random.default_rng(0),
             )
 
+    @pytest.mark.parametrize(
+        "methods, message",
+        [
+            ((), "'methods' must name at least one method"),
+            (("neyman", "neyman"), "'methods' lists a method twice: ['neyman', 'neyman']"),
+        ],
+        ids=["empty", "repeated"],
+    )
+    def test_methods_rule(self, methods, message):
+        with pytest.raises(ValueError) as info:
+            coverage_experiment(
+                toy_case(), np.array([10, 10, 10, 10]), 1, 5, 0.95, methods,
+                np.random.default_rng(0),
+            )
+        assert str(info.value) == message
+
 
 class TestStudyConfig:
     def test_round_trip_with_fixture_path(self, tmp_path):
@@ -259,6 +275,29 @@ class TestStudyConfig:
 
 
 class TestRunStudy:
+    @pytest.mark.parametrize(
+        "methods, message",
+        [
+            ((), "'methods' must name at least one method"),
+            (("neyman", "neyman"), "'methods' lists a method twice: ['neyman', 'neyman']"),
+            (("neyman", "bootstrap"), "unknown method 'bootstrap'"),
+        ],
+        ids=["empty", "repeated", "unknown"],
+    )
+    def test_methods_rule_in_library_configs(self, tmp_path, methods, message):
+        """A config built in code obeys the same methods rule as a file:
+        no empty study, and no case written twice."""
+        (tmp_path / "cases.csv").write_text("\n".join(",".join(map(str, r)) for r in toy_rows(2)))
+        with pytest.raises(ValueError) as info:
+            run_study(
+                StudyConfig(
+                    cases=str(tmp_path / "cases.csv"), arms=(10, 10, 10, 10), effect=1,
+                    replications=5, seed=1, methods=methods,
+                ),
+                threads=1,
+            )
+        assert str(info.value).startswith(message)
+
     def test_small_study_rows_and_aggregates(self, tmp_path):
         config = StudyConfig.from_json(write_toy_config(tmp_path, toy_rows(3)))
         report = run_study(config, threads=1)

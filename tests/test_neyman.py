@@ -2,14 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from factorial2k import ObservedData, enumerate_assignments, observe, sampling_variance
-from factorial2k.neyman import (
-    confidence_interval,
-    normal_quantile,
-    point_estimate,
-    variance_estimate,
-)
+from factorial2k.neyman import confidence_interval, point_estimate, variance_estimate
 
 from helpers import random_table
 
@@ -57,7 +53,7 @@ class TestConfidenceInterval:
 
     def test_width_is_twice_z_times_se(self, trial_obs, h2):
         report = confidence_interval(trial_obs, h2, 1, 0.9)
-        expected = 2 * normal_quantile(0.95) * np.sqrt(report.variance)
+        expected = 2 * ndtri(0.95) * np.sqrt(report.variance)
         assert report.width == pytest.approx(expected, rel=1e-12)
 
     def test_degenerate_interval(self, h2):
@@ -81,16 +77,39 @@ class TestConfidenceInterval:
                 confidence_interval(trial_obs, h2, 1, level)
 
 
-class TestNormalQuantile:
-    def test_reference_values(self):
-        assert normal_quantile(0.975) == pytest.approx(1.959963985, abs=1e-9)
-        assert normal_quantile(0.5) == 0.0
-        assert normal_quantile(0.995) == pytest.approx(2.575829304, abs=1e-9)
+def z_of(report):
+    """The normal quantile an interval used: its half-width over its SE."""
+    return (report.upper - report.point) / np.sqrt(report.variance)
 
-    def test_rejects_endpoints(self):
-        for q in (0.0, 1.0):
+
+class TestNormalQuantile:
+    """The quantile z_(1+level)/2 as it reaches ``confidence_interval``."""
+
+    def test_reference_values(self, trial_obs, h2):
+        assert z_of(confidence_interval(trial_obs, h2, 1, 0.95)) == pytest.approx(
+            1.959963985, abs=1e-9
+        )
+        assert z_of(confidence_interval(trial_obs, h2, 1, 1e-12)) == pytest.approx(0.0, abs=1e-11)
+        assert z_of(confidence_interval(trial_obs, h2, 1, 0.99)) == pytest.approx(
+            2.575829304, abs=1e-9
+        )
+
+    def test_rejects_endpoints(self, trial_obs, h2):
+        # levels -1 and 1 put the quantile at 0 and 1
+        for level in (-1.0, 1.0):
             with pytest.raises(ValueError):
-                normal_quantile(q)
+                confidence_interval(trial_obs, h2, 1, level)
+
+    def test_matches_scipy_ndtri(self, h2):
+        """Within about 1e-15 of ``scipy.special.ndtri``, as the README says.
+        Equal arm rates put the point at exactly 0, so the upper end is the
+        half-width itself, free of the rounding of point + half-width."""
+        obs = ObservedData(k=2, n=np.full(4, 10), n_obs=np.full(4, 4))
+        se = np.sqrt(variance_estimate(obs))
+        for level in np.linspace(0.001, 0.999, 999):
+            report = confidence_interval(obs, h2, 1, float(level))
+            assert report.point == 0.0
+            assert report.upper == pytest.approx(ndtri(0.5 + level / 2.0) * se, rel=1e-15)
 
 
 class TestEnumerationIdentities:

@@ -188,7 +188,8 @@ class TestImputedCounts:
             gamma = gamma_custom(np.minimum(raw, raw.T))
         else:
             gamma = gamma_ar1(association, 2**k)
-        pi = setup.uniform(size=2**k if draws is None else (draws, 2**k))
+        # draws=None is a single draw, passed as a one-row batch
+        pi = setup.uniform(size=(1 if draws is None else draws, 2**k))
         ours, theirs = np.random.default_rng(45), np.random.default_rng(45)
         counts = imputed_counts(obs, pi, gamma, ours)
         assert counts.dtype == np.int64
@@ -256,14 +257,6 @@ class TestDrawEffect:
         for rho in (0.3, 0.7):
             exact = quadrature_draw_mean(trial_obs, h2, 2, prior, rho)
             assert abs(exact - closed) < 2e-3
-
-    def test_single_draw_returns_scalar(self, trial_obs, h2):
-        prior = PriorSpec.uniform(4)
-        rng = np.random.default_rng(36)
-        pi = draw_marginals(trial_obs, prior, rng)
-        value = draw_effect(trial_obs, h2, 1, pi, gamma_ar1(0.5, 4), rng)
-        assert isinstance(value, float)
-        assert -1.0 <= value <= 1.0
 
 
 class TestSweep:

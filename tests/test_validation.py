@@ -97,6 +97,28 @@ class TestDrawBound:
             sensitivity.interval(trial_obs, h2, 1, prior, gamma, draws, 0.95, NoDraws())
 
 
+class TestSweepWorkBound:
+    """A sensitivity interval makes 2 J(J-1) draws binomial draws; more
+    than ``MAX_SWEEP_DRAWS`` is refused before anything is drawn."""
+
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError("the generator must not be touched")
+
+    def test_admits_k5_at_the_default_draws(self):
+        _checks.check_sweep_work(50_000, 32)
+
+    def test_edge(self, trial_obs, h2):
+        prior = bayes.PriorSpec.uniform(4)
+        gamma = sensitivity.gamma_ar1(0.5, 4)
+        edge = _checks.MAX_SWEEP_DRAWS // (2 * 4 * 3)  # J = 4: 12 arm pairs
+        # at the bound the check passes and drawing starts, on the stub
+        with pytest.raises(AssertionError, match="must not be touched"):
+            sensitivity.interval(trial_obs, h2, 1, prior, gamma, edge, 0.95, self.NoDraws())
+        with pytest.raises(ResourceLimitError, match="binomial draws, which exceed the bound"):
+            sensitivity.interval(trial_obs, h2, 1, prior, gamma, edge + 1, 0.95, self.NoDraws())
+
+
 class TestFactorCount:
     """K is checked once, before anything forms 2^K."""
 
