@@ -60,6 +60,20 @@ def check_draws(draws: int, n_arms: int) -> None:
         )
 
 
+def check_association(structure, n_arms: int) -> None:
+    """An association matrix has one row and column per arm."""
+    if structure.n_arms != n_arms:
+        raise ValueError(
+            f"association matrix is {structure.n_arms}x{structure.n_arms}, data has {n_arms} arms"
+        )
+
+
+def check_rho(rho: float) -> None:
+    """The parameter of an AR(1) association lies in [0, 1)."""
+    if not 0.0 <= rho < 1.0:
+        raise ValueError(f"rho must lie in [0, 1), got {rho}")
+
+
 def check_sweep_work(draws: int, n_arms: int) -> None:
     """The 2 J(J-1) draws binomial draws of one sensitivity interval stay
     within ``MAX_SWEEP_DRAWS``; callers check before they draw anything."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -214,6 +215,7 @@ def cmd_analyze(args) -> int:
     if grid is None and args.sweep_draws is not None:
         raise ValueError("--sweep-draws needs --rho-grid")
     draws = 50_000 if args.sweep_draws is None else args.sweep_draws
+    threads = _parse_threads(args.threads)
 
     rows = []
     for l in effects:
@@ -226,7 +228,8 @@ def cmd_analyze(args) -> int:
         }
         if grid is not None:
             result = sensitivity.sweep(
-                obs, matrix, l, prior, grid, draws, args.level, _substream(seed, _KEY_SWEEP, l)
+                obs, matrix, l, prior, grid, draws, args.level, _substream(seed, _KEY_SWEEP, l),
+                threads=threads,
             )
             row["sensitivity"] = {
                 "draws_per_rho": draws,
@@ -295,6 +298,7 @@ def cmd_sensitivity(args) -> int:
     }
     if args.gamma_csv is not None:
         structure = load_gamma_csv(args.gamma_csv)
+        _parse_threads(args.threads)  # checked alike, though one interval runs here
         report = sensitivity.interval(
             obs, matrix, args.effect, prior, structure, args.draws, args.level, rng
         )
@@ -309,7 +313,8 @@ def cmd_sensitivity(args) -> int:
     else:
         grid = parse_rho_grid(args.grid, "--grid")
         result = sensitivity.sweep(
-            obs, matrix, args.effect, prior, grid, args.draws, args.level, rng
+            obs, matrix, args.effect, prior, grid, args.draws, args.level, rng,
+            threads=_parse_threads(args.threads),
         )
         reports = result.reports
         conservative = result.conservative
@@ -375,6 +380,7 @@ def cmd_gen_cases(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # in-process callers run main many times; building takes ~1 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="factorial2k",
@@ -382,6 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"factorial2k {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_threads_flag(p):
+        p.add_argument("--threads", type=int, help="worker processes (default: all usable cores)")
 
     def add_input_flags(p):
         group = p.add_mutually_exclusive_group(required=True)
@@ -392,6 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--level", type=float, default=0.95, help="interval level (default 0.95)")
         p.add_argument("--seed", help="64-bit seed; random (and echoed) if omitted")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
+        add_threads_flag(p)
 
     p = sub.add_parser("analyze", help="Neymanian and Bayesian intervals for each effect")
     add_input_flags(p)
@@ -419,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", help="override the config's case file")
     p.add_argument("--out-csv", default="coverage.csv", help="coverage CSV path")
     p.add_argument("--out", help="write the aggregate JSON here instead of stdout")
-    p.add_argument("--threads", type=int, help="worker processes (default: all cores)")
+    add_threads_flag(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("gen-cases", help="draw simulation populations to CSV")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,6 +32,7 @@ from ._checks import (
     read_json_object,
     whole_number,
 )
+from ._fanout import fan_out
 from .assignment import draw_assignment, observe
 from .design import build_model_matrix, lattice_step
 from .errors import CaseFileError
@@ -293,20 +293,13 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyReport:
     """Run the full coverage study described by ``config``.
 
     ``threads`` controls process fan-out across cases (default: all
-    available cores); the output is identical for every thread count.
+    usable cores); the output is identical for every thread count.
     """
     cases = resolve_cases(config)
     n_arms = 2 ** cases[0].counts.k
     check_arms(config.arms, cases[0].n_units, n_arms)
     check_effect(config.effect, n_arms)
-    jobs = [(case, config) for case in cases]
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads <= 1 or len(cases) == 1:
-        results = [_case_worker(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_case_worker, jobs, chunksize=4))
+    results = fan_out(_case_worker, [(case, config) for case in cases], threads, chunksize=4)
     rows = sorted(
         (report for batch in results for report in batch),
         key=lambda r: (r.case_id, r.method),

@@ -25,7 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_draws, check_effect, check_level, check_matrix, check_sweep_work
+from ._checks import (
+    check_association,
+    check_draws,
+    check_effect,
+    check_level,
+    check_matrix,
+    check_rho,
+    check_sweep_work,
+)
+from ._fanout import fan_out
 from .assignment import ObservedData
 from .bayes import PriorSpec, draw_marginals, posterior_mean
 from .design import IntervalReport, ModelMatrix, lattice_step
@@ -33,6 +42,13 @@ from .design import IntervalReport, ModelMatrix, lattice_step
 # Drawn marginals are clamped into [EPS, 1-EPS] before conditioning;
 # exact 0/1 draws are a measure-zero event but would divide by zero.
 MARGINAL_EPS = 1e-12
+
+# Grid points a sweep hands to a worker at a time.  On the default sweep
+# (100 points of 50,000 draws, about 0.25 s each; 2 vCPUs, 2 workers) chunk
+# sizes 1, 2, 5 and 10 all took 12.1-13.5 s, with 1 and 5 at 12.87 s and
+# 12.84 s (means of four alternating runs).  One point at a time keeps short
+# grids, such as five points, spread over every worker.
+SWEEP_CHUNK = 1
 
 
 @dataclass(frozen=True)
@@ -63,8 +79,7 @@ class GammaStructure:
 
 def gamma_ar1(rho: float, n_arms: int) -> GammaStructure:
     """Exponential-decay association gamma_jj' = rho^|j-j'| for rho in [0, 1)."""
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
+    check_rho(rho)
     idx = np.arange(n_arms)
     dist = np.abs(idx[:, None] - idx[None, :])
     gamma = np.where(dist == 0, 0.0, float(rho) ** dist)
@@ -127,10 +142,7 @@ def imputed_counts(
     conditioning arm by conditioning arm, each pair drawing all of its
     B_{j|j'=1} before all of its B_{j|j'=0}.
     """
-    if gamma.n_arms != obs.n_arms:
-        raise ValueError(
-            f"association matrix is {gamma.n_arms}x{gamma.n_arms}, data has {obs.n_arms} arms"
-        )
+    check_association(gamma, obs.n_arms)
     p = np.clip(pi, MARGINAL_EPS, 1.0 - MARGINAL_EPS)
     seen = np.stack([obs.n_obs, obs.n - obs.n_obs])[:, :, None]  # (2, J, 1): with 1, with 0
     imputed = np.zeros(p.shape, dtype=np.int64)
@@ -177,9 +189,8 @@ def interval(
     the closed-form posterior mean, which the association does not shift;
     the variance is the Monte Carlo sample variance.
     """
-    check_draws(draws, obs.n_arms)
-    check_sweep_work(draws, obs.n_arms)
-    check_level(level)
+    check_association(structure, obs.n_arms)
+    _check_interval(obs, matrix, l, draws, level)
     point = posterior_mean(obs, matrix, l, prior)
     pi = draw_marginals(obs, prior, rng, draws=draws)
     values = draw_effect(obs, matrix, l, pi, structure, rng)
@@ -195,6 +206,22 @@ def interval(
         mc_draws=draws,
         rho=structure.rho,
     )
+
+
+def _check_interval(obs, matrix, l, draws, level) -> None:
+    """The checks of :func:`interval` that do not involve the association."""
+    check_matrix(matrix, obs.k)
+    check_effect(l, obs.n_arms)
+    check_draws(draws, obs.n_arms)
+    check_sweep_work(draws, obs.n_arms)
+    check_level(level)
+
+
+def _grid_point(job) -> IntervalReport:
+    """The interval at one grid point: the unit of work a sweep hands to a
+    worker process."""
+    obs, matrix, l, prior, rho, draws, level, rng = job
+    return interval(obs, matrix, l, prior, gamma_ar1(rho, obs.n_arms), draws, level, rng)
 
 
 @dataclass(frozen=True)
@@ -214,20 +241,27 @@ def sweep(
     draws: int,
     level: float,
     rng: np.random.Generator,
+    threads: int | None = None,
 ) -> SweepResult:
     """:func:`interval` at every point of an AR(1) association grid.
 
     Each grid point uses an independent child RNG stream (spawned in
     grid order), so the result is reproducible and independent of any
-    parallel scheduling.  The summary interval is the widest one; ties
-    go to the smallest rho.
+    parallel scheduling.  ``threads`` worker processes share the points
+    (default: all usable cores).  Every argument is checked before any
+    stream is spawned or worker started.  The summary interval is the
+    widest one; ties go to the smallest rho.
     """
     grid = np.asarray(rho_grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("rho grid must be a nonempty vector")
-    reports = [
-        interval(obs, matrix, l, prior, gamma_ar1(float(rho), obs.n_arms), draws, level, stream)
+    for rho in grid:
+        check_rho(rho)
+    _check_interval(obs, matrix, l, draws, level)
+    jobs = [
+        (obs, matrix, l, prior, float(rho), draws, level, stream)
         for rho, stream in zip(grid, rng.spawn(grid.size))
     ]
+    reports = fan_out(_grid_point, jobs, threads, chunksize=SWEEP_CHUNK)
     widest = max(reports, key=lambda r: r.width)  # first max wins ties
     return SweepResult(reports=reports, conservative=widest)

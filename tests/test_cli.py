@@ -8,9 +8,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from factorial2k import CaseFileError, bayes, cli, harness
+from factorial2k import CaseFileError, _fanout, bayes, cli, harness, sensitivity
 from factorial2k.data import data_path
 
+from test_fanout import NoPool
 from test_harness import toy_rows, write_toy_config
 
 AHLUWALIA = data_path("ahluwalia.json")
@@ -371,7 +372,7 @@ class TestFlagErrors:
         ids=["seed", "threads-env", "effects", "rho-grid", "empty-rho-grid", "grid", "grid-gap"],
     )
     def test_names_the_flag(self, tmp_path, monkeypatch, capsys, argv, message):
-        monkeypatch.setenv("FACTORIAL_THREADS", "abc")  # read by simulate only
+        monkeypatch.setenv("FACTORIAL_THREADS", "abc")  # read after every other flag
         out = tmp_path / "out"
         if argv[0] == "simulate":
             config = write_toy_config(tmp_path, toy_rows(1))
@@ -510,6 +511,118 @@ class TestResourceLimits:
         monkeypatch.setattr(bayes, "exact_interval", exhausted)
         assert cli.main(["analyze", "--input", str(AHLUWALIA), "--seed", "1"]) == 3
         assert "simulated allocation failure" in capsys.readouterr().err
+
+
+TEST_PID = os.getpid()
+
+
+def exit_in_worker(*args, **kwargs):
+    """Patched over a function that only worker processes call: a forked
+    worker dies at once; in the test process the call fails the test."""
+    if os.getpid() != TEST_PID:
+        os._exit(9)
+    raise AssertionError("a job ran in the test process")
+
+
+class TestWorkers:
+    """``--threads`` and ``FACTORIAL_THREADS`` drive the sweeps of
+    ``sensitivity`` and ``analyze --rho-grid`` as they drive ``simulate``;
+    every grid point has its own stream, so the bytes never depend on them."""
+
+    def sensitivity(self, tmp_path, stem, *extra):
+        csv_out, out = tmp_path / f"{stem}.csv", tmp_path / f"{stem}.json"
+        argv = [
+            "sensitivity", "--input", str(AHLUWALIA), "--effect", "2", "--seed", "7",
+            "--draws", "2000", "--csv-out", str(csv_out), "--out", str(out), *extra,
+        ]
+        return cli.main(argv), csv_out, out
+
+    def test_sensitivity_bytes_do_not_depend_on_workers(self, tmp_path):
+        grid = ("--grid", "0:0.6:0.1")
+        code_one, csv_one, json_one = self.sensitivity(tmp_path, "one", *grid, "--threads", "1")
+        code_two, csv_two, json_two = self.sensitivity(tmp_path, "two", *grid, "--threads", "2")
+        assert code_one == code_two == 0
+        assert csv_one.read_bytes() == csv_two.read_bytes()
+        one, two = json.loads(json_one.read_text()), json.loads(json_two.read_text())
+        assert (one.pop("sweep_csv"), two.pop("sweep_csv")) == (str(csv_one), str(csv_two))
+        assert one == two
+
+    def test_analyze_bytes_do_not_depend_on_workers(self, tmp_path):
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{threads}.json"
+            argv = [
+                "analyze", "--input", str(AHLUWALIA), "--seed", "7", "--rho-grid", "0,0.3,0.6",
+                "--sweep-draws", "2000", "--threads", threads, "--out", str(out),
+            ]
+            assert cli.main(argv) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("command", ["sensitivity", "analyze"])
+    def test_zero_threads_exit_2(self, tmp_path, monkeypatch, capsys, command, source):
+        argv = [command, "--input", str(AHLUWALIA), "--seed", "1", "--out", str(tmp_path / "r")]
+        if command == "sensitivity":
+            argv += ["--effect", "2", "--grid", "0,0.5", "--csv-out", str(tmp_path / "s.csv")]
+        else:
+            argv += ["--rho-grid", "0,0.5"]
+        if source == "flag":
+            argv += ["--threads", "0"]
+        else:
+            monkeypatch.setenv("FACTORIAL_THREADS", "0")
+        name = "--threads" if source == "flag" else "FACTORIAL_THREADS"
+        assert cli.main(argv) == 2
+        assert f"error: {name} must be at least 1\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_gamma_csv_runs_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_fanout, "ProcessPoolExecutor", NoPool)
+        gamma = tmp_path / "gamma.csv"
+        gamma.write_text("\n".join(",".join(["0.5"] * 4) for _ in range(4)) + "\n")
+        code, csv_out, _ = self.sensitivity(tmp_path, "s", "--gamma-csv", str(gamma), "--threads", "2")
+        assert code == 0
+        assert len(csv_out.read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize(
+        "k, extra, code, message",
+        [
+            (7, [], 3, "binomial draws, which exceed the bound"),
+            (2, ["--level", "1.5"], 2, "interval level must be in (0,1), got 1.5"),
+        ],
+        ids=["k7", "level"],
+    )
+    def test_sweep_is_checked_before_any_worker(
+        self, tmp_path, monkeypatch, capsys, k, extra, code, message
+    ):
+        monkeypatch.setattr(_fanout, "ProcessPoolExecutor", NoPool)
+        path = tmp_path / "in.json"
+        j = 2**k
+        path.write_text(json.dumps({"K": k, "n": [20] * j, "n_obs": [5] * j}))
+        csv_out = tmp_path / "s.csv"
+        argv = [
+            "sensitivity", "--input", str(path), "--effect", "1", "--seed", "1",
+            "--threads", "2", "--csv-out", str(csv_out), *extra,
+        ]
+        assert cli.main(argv) == code
+        assert message in capsys.readouterr().err
+        assert not csv_out.exists()
+
+    def test_dead_sweep_worker_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sensitivity, "draw_effect", exit_in_worker)
+        code, csv_out, out = self.sensitivity(tmp_path, "s", "--grid", "0,0.5", "--threads", "2")
+        assert code == 3
+        assert "error: a worker process died" in capsys.readouterr().err
+        assert not csv_out.exists() and not out.exists()
+
+    def test_dead_study_worker_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "coverage_experiment", exit_in_worker)
+        config = write_toy_config(tmp_path, toy_rows(2))
+        out_csv = tmp_path / "coverage.csv"
+        argv = ["simulate", "--config", str(config), "--out-csv", str(out_csv), "--threads", "2"]
+        assert cli.main(argv) == 3
+        assert "error: a worker process died" in capsys.readouterr().err
+        assert not out_csv.exists()
 
 
 class TestSimulate:

@@ -297,6 +297,16 @@ class TestSweep:
         assert all(r.method == "bayes-sensitivity" for r in result.reports)
         assert all(r.mc_draws == 1000 for r in result.reports)
 
+    def test_reports_do_not_depend_on_workers(self, trial_obs, h2):
+        prior = PriorSpec.uniform(4)
+        grid = [0.0, 0.2, 0.5, 0.7, 0.9]
+        runs = [
+            sweep(trial_obs, h2, 2, prior, grid, 2000, 0.95, np.random.default_rng(44), threads=t)
+            for t in (1, 2)
+        ]
+        assert runs[0].reports == runs[1].reports
+        assert runs[0].conservative == runs[1].conservative
+
     def test_rejects_empty_grid(self, trial_obs, h2):
         with pytest.raises(ValueError):
             sweep(trial_obs, h2, 1, PriorSpec.uniform(4), [], 2000, 0.95, np.random.default_rng(0))
