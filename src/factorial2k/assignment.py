@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,11 +37,14 @@ class ObservedData:
         n_obs = whole_numbers(self.n_obs, "success counts")
         if n.shape != (j,) or n_obs.shape != (j,):
             raise ValueError(f"expected {j} arm sizes and counts for K={self.k}")
-        if (n < 2).any():
+        # Python ints: cheaper than a numpy reduction per check on J entries,
+        # and their sum cannot wrap as an int64 sum could
+        sizes, successes = n.tolist(), n_obs.tolist()
+        if min(sizes) < 2:
             raise ValueError("every arm needs at least 2 assigned units")
-        if (n_obs < 0).any() or (n_obs > n).any():
+        if not all(0 <= s <= size for s, size in zip(successes, sizes)):
             raise ValueError("success counts must satisfy 0 <= n_obs <= n")
-        units = sum(n.tolist())  # Python ints: an int64 sum could wrap
+        units = sum(sizes)
         if units > 2**53:  # keeps N, J x N and every lattice index exact in int64 and float64
             raise ValueError(f"total unit count must not exceed 2^53, got {units}")
         object.__setattr__(self, "n", n)
@@ -63,32 +66,43 @@ class ObservedData:
         return self.n_obs / self.n
 
 
-def draw_assignment(arms: np.ndarray, n_units: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform completely randomized assignment into groups of the given sizes.
+def draw_assignment(
+    arms: np.ndarray, n_units: int, streams: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """Uniform completely randomized assignments into groups of the given
+    sizes, one per stream.
 
-    Returns the read-only int64 arm vector: entry i is unit i's 1-based
-    arm.  A uniform random permutation of the units is split into
-    consecutive blocks, which makes every partition into labelled groups
-    of sizes n_1..n_J equally likely.
+    Returns the read-only (R, N) int64 arm matrix for R streams: entry
+    (r, i) is unit i's 1-based arm in assignment r.  Row r splits one
+    ``streams[r].permutation(n_units)`` into consecutive blocks, which
+    makes every partition into labelled groups of sizes n_1..n_J equally
+    likely.
     """
     arms = check_arms(arms, n_units)
-    perm = rng.permutation(n_units)
-    arm_of = np.empty(n_units, dtype=np.int64)
-    arm_of[perm] = np.repeat(np.arange(1, arms.size + 1), arms)
+    labels = np.repeat(np.arange(1, arms.size + 1), arms)
+    arm_of = np.empty((len(streams), n_units), dtype=np.int64)
+    for row, stream in zip(arm_of, streams):
+        row[stream.permutation(n_units)] = labels
     arm_of.setflags(write=False)
     return arm_of
 
 
-def observe(table: PotentialTable, arm_of: np.ndarray) -> ObservedData:
-    """Reveal each unit's outcome under its arm ``arm_of[i]`` (1-based) and
-    tally per-arm successes."""
-    if arm_of.shape[0] != table.n_units:
+def observe(table: PotentialTable, arm_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reveal each unit's outcome under its arm ``arm_of[r, i]`` (1-based)
+    in every row r of an assignment batch, and tally each row per arm.
+
+    Returns ``(n, n_obs)``, (R, J) int64 arrays of arm sizes and successes.
+    """
+    if arm_of.ndim != 2 or arm_of.shape[1] != table.n_units:
         raise ValueError("assignment and table describe different unit counts")
+    n_rows, n_arms = arm_of.shape[0], table.n_arms
     column = arm_of - 1
-    seen = table.outcomes[np.arange(table.n_units), column].astype(np.int64, copy=False)
-    # one bincount over (arm, outcome) pairs: row j holds arm j+1's failures, successes
-    tally = np.bincount(2 * column + seen, minlength=2 * table.n_arms).reshape(-1, 2)
-    return ObservedData(k=table.k, n=tally.sum(axis=1), n_obs=tally[:, 1])
+    # outcomes[i, column[r, i]] as one take from the flat table
+    seen = table.outcomes.ravel()[column + n_arms * np.arange(table.n_units)]
+    # one bincount over (row, arm, outcome): [r, j] holds arm j+1's failures, successes
+    codes = 2 * (column + n_arms * np.arange(n_rows)[:, None]) + seen
+    tally = np.bincount(codes.ravel(), minlength=2 * n_arms * n_rows).reshape(n_rows, n_arms, 2)
+    return tally.sum(axis=2), tally[:, :, 1]
 
 
 def count_assignments(n_units: int, arms: np.ndarray) -> int:

@@ -33,7 +33,7 @@ from ._checks import (
     whole_number,
 )
 from ._fanout import fan_out
-from .assignment import draw_assignment, observe
+from .assignment import ObservedData, draw_assignment, observe
 from .design import build_model_matrix, lattice_step
 from .errors import CaseFileError
 from .population import CellCounts, cell_patterns, from_cell_counts
@@ -41,6 +41,13 @@ from .population import CellCounts, cell_patterns, from_cell_counts
 METHODS = ("neyman", "bayes-indep")
 COVERAGE_CSV_COLUMNS = ("case_id", "method", "coverage", "mean_width")
 DEFAULT_LEVEL = 0.95
+
+# Cell budget of one replication chunk of coverage_experiment: rows x N
+# units.  A chunk holds a few (rows, N) int64 arrays (256 KiB each).  At
+# N = 800 on 2 vCPUs, budgets of 2^13 to 2^17 cells ran a Neyman-only
+# case equally fast within the timing noise, and each doubling past 2^14
+# raised a worker's peak memory by about 0.6-2.7 MB.
+ASSIGNMENT_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -130,9 +137,10 @@ def coverage_experiment(
 ) -> list[CoverageReport]:
     """Replicate randomization + inference on one case; report coverage.
 
-    Each replication draws a fresh arm vector from its own stream and
-    observes the outcomes; the Neyman interval is built per replication,
-    the exact Bayes intervals of all replications in one batched call.
+    Each replication draws a fresh arm vector from its own stream; the
+    replications are drawn and tallied in row chunks of ``ASSIGNMENT_CELLS``
+    cells.  The Neyman interval is built per replication, the exact Bayes
+    intervals of all replications in one batched call.
     An interval covers when lower <= true effect <= upper.
     """
     arms = check_arms(arms, case.n_units, 2**case.counts.k)
@@ -143,17 +151,24 @@ def coverage_experiment(
     matrix = build_model_matrix(case.counts.k)
     true_value = float(case.true_effects[l - 1])
 
-    counts, neyman_bounds = [], []
-    for stream in rng.spawn(replications):
-        obs = observe(table, draw_assignment(arms, case.n_units, stream))
-        counts.append(obs.n_obs)
+    successes_by_chunk, neyman_bounds = [], []
+    chunk = max(1, ASSIGNMENT_CELLS // case.n_units)
+    for start in range(0, replications, chunk):
+        # successive spawns continue one spawn_key sequence: replication r
+        # gets child r whatever the chunk size
+        streams = rng.spawn(min(chunk, replications - start))
+        n, n_obs = observe(table, draw_assignment(arms, case.n_units, streams))
+        successes_by_chunk.append(n_obs)
         if "neyman" in methods:
-            report = neyman.confidence_interval(obs, matrix, l, level)
-            neyman_bounds.append((report.lower, report.upper))
+            for n_r, n_obs_r in zip(n, n_obs):
+                obs = ObservedData(k=table.k, n=n_r, n_obs=n_obs_r)
+                report = neyman.confidence_interval(obs, matrix, l, level)
+                neyman_bounds.append((report.lower, report.upper))
     bounds = {"neyman": np.array(neyman_bounds).T}
     if "bayes-indep" in methods:
         prior = bayes.PriorSpec.uniform(table.n_arms)
-        bounds["bayes-indep"] = bayes.exact_bounds(arms, np.array(counts), matrix, l, prior, level)
+        counts = np.concatenate(successes_by_chunk)
+        bounds["bayes-indep"] = bayes.exact_bounds(arms, counts, matrix, l, prior, level)
     reports = []
     for method in methods:
         lower, upper = bounds[method]

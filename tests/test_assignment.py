@@ -16,75 +16,81 @@ from helpers import random_table
 
 class TestDrawAssignment:
     def test_arm_sizes_exact(self):
-        rng = np.random.default_rng(0)
-        a = draw_assignment(np.array([3, 4, 5]), 12, rng)
-        assert np.bincount(a, minlength=4)[1:].tolist() == [3, 4, 5]
+        a = draw_assignment(np.array([3, 4, 5]), 12, np.random.default_rng(0).spawn(5))
+        assert a.shape == (5, 12) and a.dtype == np.int64
+        for row in a:
+            assert np.bincount(row, minlength=4)[1:].tolist() == [3, 4, 5]
 
     def test_unit_marginals_uniform(self):
         """Each unit should land in each equal-sized arm with probability
-        1/4; checked with a chi-square test on 100k draws."""
+        1/4; checked with a chi-square test on 100k draws, one stream
+        drawing every row in turn."""
         rng = np.random.default_rng(123)
-        counts = np.zeros((8, 4), dtype=int)
-        for _ in range(100_000):
-            a = draw_assignment(np.array([2, 2, 2, 2]), 8, rng)
-            for unit in range(8):
-                counts[unit, a[unit] - 1] += 1
+        a = draw_assignment(np.array([2, 2, 2, 2]), 8, [rng] * 100_000)
         for unit in range(8):
-            assert stats.chisquare(counts[unit]).pvalue > 1e-3
+            counts = np.bincount(a[:, unit] - 1, minlength=4)
+            assert stats.chisquare(counts).pvalue > 1e-3
 
     def test_degenerate_single_arm(self):
-        rng = np.random.default_rng(1)
-        a = draw_assignment(np.array([8]), 8, rng)
+        a = draw_assignment(np.array([8]), 8, [np.random.default_rng(1)])
         assert (a == 1).all()
 
     def test_fixed_seed_reproduces(self):
-        a = draw_assignment(np.array([2, 2, 2, 2]), 8, np.random.default_rng(99))
-        b = draw_assignment(np.array([2, 2, 2, 2]), 8, np.random.default_rng(99))
+        a = draw_assignment(np.array([2, 2, 2, 2]), 8, [np.random.default_rng(99)])
+        b = draw_assignment(np.array([2, 2, 2, 2]), 8, [np.random.default_rng(99)])
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = draw_assignment(np.array([4, 4]), 8, np.random.default_rng(1))
-        b = draw_assignment(np.array([4, 4]), 8, np.random.default_rng(2))
+        a = draw_assignment(np.array([4, 4]), 8, [np.random.default_rng(1)])
+        b = draw_assignment(np.array([4, 4]), 8, [np.random.default_rng(2)])
         assert not np.array_equal(a, b)
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):
-            draw_assignment(np.array([2, 2]), 5, np.random.default_rng(0))
+            draw_assignment(np.array([2, 2]), 5, [np.random.default_rng(0)])
 
     def test_rejects_undersized_arm(self):
         with pytest.raises(ValueError):
-            draw_assignment(np.array([1, 7]), 8, np.random.default_rng(0))
+            draw_assignment(np.array([1, 7]), 8, [np.random.default_rng(0)])
+
+    def test_batch_is_read_only(self):
+        a = draw_assignment(np.array([2, 2]), 4, np.random.default_rng(0).spawn(3))
+        with pytest.raises(ValueError):
+            a[0, 0] = 2
 
 
 class TestObserve:
     def test_all_ones_table(self):
         table = PotentialTable(k=2, outcomes=np.ones((8, 4), dtype=int))
-        a = draw_assignment(np.array([2, 2, 2, 2]), 8, np.random.default_rng(3))
-        obs = observe(table, a)
-        assert np.array_equal(obs.n_obs, obs.n)
+        a = draw_assignment(np.array([2, 2, 2, 2]), 8, np.random.default_rng(3).spawn(4))
+        n, n_obs = observe(table, a)
+        assert n.shape == n_obs.shape == (4, 4)
+        assert np.array_equal(n_obs, n)
 
     def test_all_zeros_table(self):
         table = PotentialTable(k=2, outcomes=np.zeros((8, 4), dtype=int))
-        a = draw_assignment(np.array([2, 2, 2, 2]), 8, np.random.default_rng(3))
-        obs = observe(table, a)
-        assert obs.n_obs.sum() == 0
+        a = draw_assignment(np.array([2, 2, 2, 2]), 8, np.random.default_rng(3).spawn(4))
+        _, n_obs = observe(table, a)
+        assert n_obs.sum() == 0
 
     def test_matches_per_unit_recount(self, case1_table):
-        a = draw_assignment(np.array([200, 200, 200, 200]), 800, np.random.default_rng(41))
-        obs = observe(case1_table, a)
+        a = draw_assignment(np.array([200, 200, 200, 200]), 800, [np.random.default_rng(41)])
+        n, n_obs = observe(case1_table, a)
         recount = np.zeros(4, dtype=int)
         for unit in range(800):
-            arm = a[unit]
+            arm = a[0, unit]
             recount[arm - 1] += case1_table.outcomes[unit, arm - 1]
-        assert np.array_equal(obs.n_obs, recount)
-        assert obs.n_units == 800
+        assert np.array_equal(n_obs[0], recount)
+        assert n[0].sum() == 800
 
     def test_rejects_unit_count_mismatch(self):
         rng = np.random.default_rng(5)
         table = random_table(rng, 8)
-        a = draw_assignment(np.array([3, 3, 3, 3]), 12, rng)
+        a = draw_assignment(np.array([3, 3, 3, 3]), 12, [rng])
         with pytest.raises(ValueError):
             observe(table, a)
+        with pytest.raises(ValueError):  # an arm vector is no batch
+            observe(table, draw_assignment(np.array([2, 2, 2, 2]), 8, [rng])[0])
 
 
 class TestEnumerateAssignments:
@@ -141,8 +147,23 @@ class TestLoopFreePath:
         k = int(rng.integers(1, 4))
         arms = rng.integers(2, 30, size=2**k)
         n_units = int(arms.sum())
-        drawn = draw_assignment(arms, n_units, np.random.default_rng(seed))
+        [drawn] = draw_assignment(arms, n_units, [np.random.default_rng(seed)])
         assert np.array_equal(drawn, block_assignment(arms, n_units, seed))
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_batch_rows_match_their_streams(self, rows):
+        """Row r is stream r's permutation split into blocks, and each
+        stream then stands where one lone permutation call leaves it."""
+        arms = np.array([3, 5, 2, 4])
+        seeds = [300 + 17 * r for r in range(rows)]
+        streams = [np.random.default_rng(seed) for seed in seeds]
+        drawn = draw_assignment(arms, 14, streams)
+        assert drawn.shape == (rows, 14)
+        for row, seed, stream in zip(drawn, seeds, streams):
+            assert np.array_equal(row, block_assignment(arms, 14, seed))
+            fresh = np.random.default_rng(seed)
+            fresh.permutation(14)
+            assert stream.bit_generator.state == fresh.bit_generator.state
 
     @pytest.mark.parametrize("seed", range(20))
     def test_observe_matches_unit_sum(self, seed):
@@ -150,14 +171,17 @@ class TestLoopFreePath:
         k = int(rng.integers(1, 4))
         arms = rng.integers(2, 30, size=2**k)
         table = random_table(rng, int(arms.sum()), k=k)
-        assignment = draw_assignment(arms, table.n_units, np.random.default_rng(seed))
-        obs = observe(table, assignment)
-        n, n_obs = unit_sum(table, assignment)
-        assert np.array_equal(obs.n, n) and np.array_equal(obs.n_obs, n_obs)
+        batch = draw_assignment(arms, table.n_units, np.random.default_rng(seed).spawn(7))
+        n, n_obs = observe(table, batch)
+        for r, assignment in enumerate(batch):
+            expected_n, expected_n_obs = unit_sum(table, assignment)
+            assert np.array_equal(n[r], expected_n) and np.array_equal(n_obs[r], expected_n_obs)
 
     def test_observe_on_every_assignment(self):
         table = random_table(np.random.default_rng(7), 8)
-        for assignment in enumerate_assignments(8, np.array([2, 2, 2, 2])):
-            obs = observe(table, assignment)
-            n, n_obs = unit_sum(table, assignment)
-            assert np.array_equal(obs.n, n) and np.array_equal(obs.n_obs, n_obs)
+        batch = np.array(list(enumerate_assignments(8, np.array([2, 2, 2, 2]))))
+        n, n_obs = observe(table, batch)
+        assert n.shape == n_obs.shape == (2520, 4)
+        for r, assignment in enumerate(batch):
+            expected_n, expected_n_obs = unit_sum(table, assignment)
+            assert np.array_equal(n[r], expected_n) and np.array_equal(n_obs[r], expected_n_obs)

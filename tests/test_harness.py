@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from factorial2k import CaseFileError, CellCounts, ObservedData, bayes, estimands, from_cell_counts
-from factorial2k import harness
+from factorial2k import harness, neyman
 from factorial2k.data import data_path
 from factorial2k.design import build_model_matrix, lattice_step
 from factorial2k.harness import (
@@ -174,7 +174,11 @@ class TestCoverageExperiment:
         assert report.lower == true_value
         assert estimands(from_cell_counts(case.counts), matrix).tau[0] < report.lower
 
-        monkeypatch.setattr(harness, "observe", lambda table, assignment: tie)
+        def observe_tie(table, arm_of):
+            rows = (len(arm_of), 1)
+            return np.tile(tie.n, rows), np.tile(tie.n_obs, rows)
+
+        monkeypatch.setattr(harness, "observe", observe_tie)
         [row] = coverage_experiment(
             case, np.array([10, 10, 10, 10]), 1, 5, 0.95, ["bayes-indep"], np.random.default_rng(7)
         )
@@ -365,7 +369,8 @@ class TestBatchedBayes:
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(case.case_id,)))
         covered, width_sum = 0, 0.0
         for stream in rng.spawn(self.REPLICATIONS):
-            obs = harness.observe(table, harness.draw_assignment(arms, case.n_units, stream))
+            n, n_obs = harness.observe(table, harness.draw_assignment(arms, case.n_units, [stream]))
+            obs = ObservedData(k=case.counts.k, n=n[0], n_obs=n_obs[0])
             offset, pmf = bayes.predictive_pmf(obs, matrix, config.effect, prior)
             lower, upper = pmf_quantiles(offset, pmf, step, config.level)
             covered += lower <= true_value <= upper
@@ -389,6 +394,79 @@ class TestBatchedBayes:
                 monkeypatch.setattr(bayes, "CHUNK_CELLS", budget)
                 assert self.batched(case, config) == row
             monkeypatch.undo()
+
+
+class TestReplicationChunks:
+    """``coverage_experiment`` draws and tallies its replications in row
+    chunks of ``harness.ASSIGNMENT_CELLS`` cells; no chunk boundary may
+    change a report, and the Neyman row must equal the same streams taken
+    one replication at a time."""
+
+    SEED = 404
+
+    def case(self):
+        return load_fixture_cases(data_path("cases_balanced_800.csv"))[0]
+
+    def run(self, case, replications):
+        rng = np.random.default_rng(self.SEED)
+        arms = np.array([200, 200, 200, 200])
+        methods = ["neyman", "bayes-indep"]
+        return coverage_experiment(case, arms, 1, replications, 0.95, methods, rng)
+
+    def neyman_reference(self, case, replications):
+        table, matrix = from_cell_counts(case.counts), build_model_matrix(case.counts.k)
+        arms, true_value = np.array([200, 200, 200, 200]), float(case.true_effects[0])
+        covered, width_sum = 0, 0.0
+        for stream in np.random.default_rng(self.SEED).spawn(replications):
+            n, n_obs = harness.observe(table, harness.draw_assignment(arms, case.n_units, [stream]))
+            obs = ObservedData(k=case.counts.k, n=n[0], n_obs=n_obs[0])
+            report = neyman.confidence_interval(obs, matrix, 1, 0.95)
+            covered += report.lower <= true_value <= report.upper
+            width_sum += report.upper - report.lower
+        return covered / replications, width_sum / replications
+
+    def test_reports_do_not_depend_on_chunks(self, monkeypatch):
+        case = self.case()
+        chunk = harness.ASSIGNMENT_CELLS // case.n_units
+        assert chunk > 2
+        for replications in (1, chunk - 1, chunk, chunk + 1):
+            reports = self.run(case, replications)
+            neyman_row = next(r for r in reports if r.method == "neyman")
+            assert (neyman_row.coverage, neyman_row.mean_width) == self.neyman_reference(
+                case, replications
+            )
+            for budget in (1, 10**12):  # one row per chunk, all rows in one chunk
+                monkeypatch.setattr(harness, "ASSIGNMENT_CELLS", budget)
+                assert self.run(case, replications) == reports
+            monkeypatch.undo()
+
+
+class TestReplicationContract:
+    """Pins the ``simulate`` CSV of a small fixed-seed study (the first 3
+    balanced fixture cases, 50 replications, both methods) to the bytes it
+    had when every replication was drawn and tallied on its own; only a
+    change in how random numbers are consumed may change them."""
+
+    EXPECTED = (
+        b"case_id,method,coverage,mean_width\r\n"
+        b"1,bayes-indep,0.98,0.11793750000000001\r\n"
+        b"1,neyman,1.0,0.13741948780223512\r\n"
+        b"2,bayes-indep,0.92,0.11817499999999999\r\n"
+        b"2,neyman,0.98,0.13760616165496\r\n"
+        b"3,bayes-indep,0.88,0.11592500000000003\r\n"
+        b"3,neyman,0.94,0.13497583571222752\r\n"
+    )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_csv_bytes(self, tmp_path, threads):
+        fixture = data_path("cases_balanced_800.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "cases.csv").write_text("".join(fixture[:3]))
+        config = StudyConfig(
+            cases=str(tmp_path / "cases.csv"), arms=(200, 200, 200, 200), effect=1,
+            replications=50, seed=20260810,
+        )
+        run_study(config, threads=threads).write_csv(tmp_path / "coverage.csv")
+        assert (tmp_path / "coverage.csv").read_bytes() == self.EXPECTED
 
 
 class TestImbalancedStudy:

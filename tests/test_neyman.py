@@ -126,6 +126,7 @@ class TestEnumerationIdentities:
         table = random_table(rng, 8)
         arms = np.array([2, 2, 2, 2])
         n_arm_ones = [int(table.outcomes[:, j].sum()) for j in range(4)]
+        _, successes = observe(table, np.array(list(enumerate_assignments(8, arms))))
 
         for l in (1, 2, 3):
             h = [int(v) for v in h2.entries[:, l]]
@@ -142,10 +143,9 @@ class TestEnumerationIdentities:
             total_sq = Fraction(0)
             total_vhat = Fraction(0)
             count = 0
-            for a in enumerate_assignments(8, arms):
-                obs = observe(table, a)
-                est = Fraction(sum(hj * int(o) for hj, o in zip(h, obs.n_obs)), 4)
-                vhat = Fraction(sum(int(o) * (2 - int(o)) for o in obs.n_obs), 16)
+            for n_obs in successes:
+                est = Fraction(sum(hj * int(o) for hj, o in zip(h, n_obs)), 4)
+                vhat = Fraction(sum(int(o) * (2 - int(o)) for o in n_obs), 16)
                 total += est
                 total_sq += est * est
                 total_vhat += vhat
