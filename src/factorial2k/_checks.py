@@ -27,6 +27,11 @@ MAX_SWEEP_DRAWS = 2**27
 
 MAX_FACTORS = 10  # J x J dense storage stays trivial up to 1024 x 1024
 
+# Upper bound on the replications of one coverage case: replication r's
+# stream is child r of the case's SeedSequence, and the child index must
+# fit the one uint32 key word that the bulk seeding hashes.
+MAX_REPLICATIONS = 2**32
+
 
 def check_factors(k) -> None:
     """Factor count K; callers check it before they form 2^K."""
@@ -82,6 +87,17 @@ def check_sweep_work(draws: int, n_arms: int) -> None:
         raise ResourceLimitError(
             f"{draws} draws over {n_arms * (n_arms - 1)} arm pairs make {work} binomial draws, "
             f"which exceed the bound of {MAX_SWEEP_DRAWS}"
+        )
+
+
+def check_replications(replications: int) -> None:
+    """At least one replication per case, and at most ``MAX_REPLICATIONS``;
+    callers check before they draw anything."""
+    if replications < 1:
+        raise ValueError("need at least one replication")
+    if replications > MAX_REPLICATIONS:
+        raise ResourceLimitError(
+            f"{replications} replications exceed the bound of {MAX_REPLICATIONS} per case"
         )
 
 

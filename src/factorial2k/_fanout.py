@@ -8,8 +8,6 @@ so the results do not depend on how the jobs are spread over processes;
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 from .errors import ResourceLimitError
 
@@ -20,6 +18,15 @@ def usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def process_pool(max_workers: int):
+    """A ``ProcessPoolExecutor`` of ``max_workers`` processes.  Its module,
+    which pulls in ``multiprocessing``, is imported here, when a pool is
+    built, so importing the package stays cheap."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 def fan_out(fn, jobs, threads: int | None, chunksize: int) -> list:
@@ -34,8 +41,10 @@ def fan_out(fn, jobs, threads: int | None, chunksize: int) -> list:
     workers = min(usable_cores() if threads is None else threads, len(jobs))
     if workers <= 1:
         return [fn(job) for job in jobs]
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with process_pool(workers) as pool:
             return list(pool.map(fn, jobs, chunksize=chunksize))
     except BrokenProcessPool as exc:
         raise ResourceLimitError(

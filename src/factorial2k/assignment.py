@@ -1,17 +1,20 @@
 """Completely randomized assignment and observed-data extraction.
 
 Randomness flows through ``numpy.random.Generator`` streams seeded via
-``SeedSequence``; callers that need reproducible parallel fan-out spawn
-one child stream per replication so results do not depend on execution
-order.
+``SeedSequence``; callers that need reproducible parallel fan-out give
+each replication its own child stream, so results do not depend on
+execution order.  :class:`ChildStreams` computes those children's PCG64
+states in bulk instead of building one ``SeedSequence`` and generator
+per replication.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Collection, Iterator
 
 import numpy as np
 
@@ -20,6 +23,15 @@ from .errors import ResourceLimitError
 from .population import PotentialTable
 
 MAX_ENUMERATION = 10_000_000
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_WORD = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MASK = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -66,17 +78,145 @@ class ObservedData:
         return self.n_obs / self.n
 
 
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The first ``count`` values of a SeedSequence hash constant, which is
+    multiplied by ``mult`` at each word hashed."""
+    values = [init]
+    for _ in range(count - 1):
+        values.append(values[-1] * mult & _WORD)
+    return np.array(values, dtype=np.uint32)
+
+
+# generate_state(4, uint64) hashes 8 pool words; word i is xored with
+# constant i and multiplied by constant i + 1
+_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 9)
+
+
+def _uint32_words(value) -> list[int]:
+    """An int, or a sequence of ints, as numpy's SeedSequence reads entropy
+    and spawn keys: each int as its little-endian 32-bit words."""
+    if isinstance(value, numbers.Integral):
+        value = int(value)
+        words = [value & _WORD]
+        while value := value >> 32:
+            words.append(value & _WORD)
+        return words
+    return [word for item in value for word in _uint32_words(item)]
+
+
+def _mix(x: int, y: int) -> int:
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _WORD
+    return result ^ result >> 16
+
+
+class ChildStreams:
+    """The children of one ``SeedSequence`` as PCG64 streams, seeded in bulk.
+
+    Child i is the stream ``PCG64(SeedSequence(entropy, spawn_key=spawn_key
+    + (i,), pool_size=pool_size))`` that ``spawn`` hands out as its i-th
+    child, for i below 2^32 (one key word).  The words all children share
+    (the entropy, zero-padded to the pool size, then the parent's spawn
+    key) are hashed once, here, by a Python-int copy of numpy's
+    ``mix_entropy``.  :meth:`states` then mixes in each child's own key
+    word and runs ``generate_state(4, uint64)`` as uint32 array operations
+    over all requested children, and PCG64's 128-bit seeding step on Python
+    ints.  The parent's spawn counter is not read or advanced.
+    """
+
+    def __init__(self, seed_seq: np.random.SeedSequence):
+        size = seed_seq.pool_size
+        entropy = _uint32_words(seed_seq.entropy)
+        # a spawned child's entropy is padded to the pool size before its key
+        words = entropy + [0] * (size - len(entropy)) + _uint32_words(seed_seq.spawn_key)
+        hash_const = _INIT_A
+
+        def hashmix(value: int) -> int:
+            nonlocal hash_const
+            value ^= hash_const
+            hash_const = hash_const * _MULT_A & _WORD
+            value = value * hash_const & _WORD
+            return value ^ value >> 16
+
+        pool = [hashmix(word) for word in words[:size]]
+        for src in range(size):
+            for dst in range(size):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for word in words[size:]:
+            for dst in range(size):
+                pool[dst] = _mix(pool[dst], hashmix(word))
+        # the child's key word is mixed into each pool word in turn:
+        # _mix(pool, hashmix(key)), its left half the same for every child
+        self._pool_left = np.array([_MIX_MULT_L * word & _WORD for word in pool], dtype=np.uint32)
+        self._key_constants = _hash_constants(hash_const, _MULT_A, size + 1)
+        self._state_words = np.arange(8) % size
+        self._generator = np.random.Generator(np.random.PCG64(seed_seq))
+
+    def states(self, start: int, count: int) -> list[dict]:
+        """The ``bit_generator.state`` of children ``start..start+count-1``."""
+        if not 0 <= start <= start + count <= 2**32:
+            raise ValueError(f"child indices {start}..{start + count - 1} are not all in 0..2^32-1")
+        key = (np.arange(count, dtype=np.uint64) + start).astype(np.uint32)[:, None]
+        hashed = (key ^ self._key_constants[:-1]) * self._key_constants[1:]
+        hashed ^= hashed >> 16
+        pool = self._pool_left - hashed * np.uint32(_MIX_MULT_R)
+        pool ^= pool >> 16
+        words = (pool[:, self._state_words] ^ _STATE_CONSTANTS[:-1]) * _STATE_CONSTANTS[1:]
+        words ^= words >> 16
+        # generate_state's uint64 words are little-endian uint32 pairs
+        seeds = np.ascontiguousarray(words, "<u4").view("<u8").tolist()
+        states = []
+        for seed_hi, seed_lo, inc_hi, inc_lo in seeds:
+            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _PCG_MASK
+            state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _PCG_MASK
+            states.append(
+                {
+                    "bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+            )
+        return states
+
+    def streams(self, start: int, count: int) -> "_Reseeded":
+        """Children ``start..start+count-1`` for :func:`draw_assignment`:
+        one reused generator, set to each child's state in turn as the
+        iteration reaches it, so each stream must be used up before the
+        next is taken."""
+        return _Reseeded(self._generator, self.states(start, count))
+
+
+class _Reseeded:
+    """A sized iterable that yields one generator per state, each time set
+    to that state."""
+
+    def __init__(self, generator: np.random.Generator, states: list[dict]):
+        self._generator = generator
+        self._states = states
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def __iter__(self) -> Iterator[np.random.Generator]:
+        for state in self._states:
+            self._generator.bit_generator.state = state
+            yield self._generator
+
+
 def draw_assignment(
-    arms: np.ndarray, n_units: int, streams: Sequence[np.random.Generator]
+    arms: np.ndarray, n_units: int, streams: Collection[np.random.Generator]
 ) -> np.ndarray:
     """Uniform completely randomized assignments into groups of the given
     sizes, one per stream.
 
     Returns the read-only (R, N) int64 arm matrix for R streams: entry
     (r, i) is unit i's 1-based arm in assignment r.  Row r splits one
-    ``streams[r].permutation(n_units)`` into consecutive blocks, which
-    makes every partition into labelled groups of sizes n_1..n_J equally
-    likely.
+    ``permutation(n_units)`` call on the r-th stream into consecutive
+    blocks, which makes every partition into labelled groups of sizes
+    n_1..n_J equally likely.  The streams are iterated once, in order, and
+    each is drawn from before the next is taken (as
+    :meth:`ChildStreams.streams` requires).
     """
     arms = check_arms(arms, n_units)
     labels = np.repeat(np.arange(1, arms.size + 1), arms)
@@ -95,14 +235,15 @@ def observe(table: PotentialTable, arm_of: np.ndarray) -> tuple[np.ndarray, np.n
     """
     if arm_of.ndim != 2 or arm_of.shape[1] != table.n_units:
         raise ValueError("assignment and table describe different unit counts")
-    n_rows, n_arms = arm_of.shape[0], table.n_arms
-    column = arm_of - 1
-    # outcomes[i, column[r, i]] as one take from the flat table
-    seen = table.outcomes.ravel()[column + n_arms * np.arange(table.n_units)]
-    # one bincount over (row, arm, outcome): [r, j] holds arm j+1's failures, successes
-    codes = 2 * (column + n_arms * np.arange(n_rows)[:, None]) + seen
-    tally = np.bincount(codes.ravel(), minlength=2 * n_arms * n_rows).reshape(n_rows, n_arms, 2)
-    return tally.sum(axis=2), tally[:, :, 1]
+    n = np.empty((arm_of.shape[0], table.n_arms), dtype=np.int64)
+    n_obs = np.empty_like(n)
+    # arm by arm: J boolean passes over the batch beat one int64 bincount
+    # over (row, arm, outcome) codes at the J <= 4 of a coverage study
+    for j, success in enumerate(table.outcomes.T.astype(bool)):
+        in_arm = arm_of == j + 1
+        n[:, j] = np.count_nonzero(in_arm, axis=1)
+        n_obs[:, j] = np.count_nonzero(in_arm & success, axis=1)
+    return n, n_obs
 
 
 def count_assignments(n_units: int, arms: np.ndarray) -> int:

@@ -27,13 +27,14 @@ from ._checks import (
     check_effect,
     check_keys,
     check_methods,
+    check_replications,
     csv_number,
     read_csv_rows,
     read_json_object,
     whole_number,
 )
 from ._fanout import fan_out
-from .assignment import ObservedData, draw_assignment, observe
+from .assignment import ChildStreams, ObservedData, draw_assignment, observe
 from .design import build_model_matrix, lattice_step
 from .errors import CaseFileError
 from .population import CellCounts, cell_patterns, from_cell_counts
@@ -137,26 +138,31 @@ def coverage_experiment(
 ) -> list[CoverageReport]:
     """Replicate randomization + inference on one case; report coverage.
 
-    Each replication draws a fresh arm vector from its own stream; the
-    replications are drawn and tallied in row chunks of ``ASSIGNMENT_CELLS``
-    cells.  The Neyman interval is built per replication, the exact Bayes
-    intervals of all replications in one batched call.
-    An interval covers when lower <= true effect <= upper.
+    Replication r draws a fresh arm vector from its own stream: child r of
+    ``rng``'s PCG64 ``SeedSequence``, the stream a fresh ``rng.spawn``
+    hands out r-th.  :class:`ChildStreams` seeds the children in bulk; it
+    neither reads nor advances ``rng``'s spawn counter.  The replications
+    are drawn and tallied in row chunks of ``ASSIGNMENT_CELLS`` cells.  The
+    Neyman interval is built per replication, the exact Bayes intervals of
+    all replications in one batched call.  An interval covers when
+    lower <= true effect <= upper.
     """
     arms = check_arms(arms, case.n_units, 2**case.counts.k)
-    if replications < 1:
-        raise ValueError("need at least one replication")
+    check_replications(replications)
     methods = check_methods(methods, METHODS)
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        kind = type(rng.bit_generator).__name__
+        raise ValueError(f"replication streams need a PCG64 generator, got {kind}")
     table = from_cell_counts(case.counts)
     matrix = build_model_matrix(case.counts.k)
     true_value = float(case.true_effects[l - 1])
 
+    children = ChildStreams(rng.bit_generator.seed_seq)
     successes_by_chunk, neyman_bounds = [], []
     chunk = max(1, ASSIGNMENT_CELLS // case.n_units)
     for start in range(0, replications, chunk):
-        # successive spawns continue one spawn_key sequence: replication r
-        # gets child r whatever the chunk size
-        streams = rng.spawn(min(chunk, replications - start))
+        # replication r gets child r whatever the chunk size
+        streams = children.streams(start, min(chunk, replications - start))
         n, n_obs = observe(table, draw_assignment(arms, case.n_units, streams))
         successes_by_chunk.append(n_obs)
         if "neyman" in methods:
@@ -211,6 +217,7 @@ class StudyConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "methods", check_methods(self.methods, METHODS))
+        check_replications(self.replications)
 
     @classmethod
     def from_json(cls, path) -> "StudyConfig":

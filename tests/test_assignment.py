@@ -10,6 +10,7 @@ from factorial2k import (
     enumerate_assignments,
     observe,
 )
+from factorial2k.assignment import ChildStreams
 
 from helpers import random_table
 
@@ -87,9 +88,10 @@ class TestObserve:
         rng = np.random.default_rng(5)
         table = random_table(rng, 8)
         a = draw_assignment(np.array([3, 3, 3, 3]), 12, [rng])
-        with pytest.raises(ValueError):
+        message = "assignment and table describe different unit counts"
+        with pytest.raises(ValueError, match=message):
             observe(table, a)
-        with pytest.raises(ValueError):  # an arm vector is no batch
+        with pytest.raises(ValueError, match=message):  # an arm vector is no batch
             observe(table, draw_assignment(np.array([2, 2, 2, 2]), 8, [rng])[0])
 
 
@@ -185,3 +187,104 @@ class TestLoopFreePath:
         for r, assignment in enumerate(batch):
             expected_n, expected_n_obs = unit_sum(table, assignment)
             assert np.array_equal(n[r], expected_n) and np.array_equal(n_obs[r], expected_n_obs)
+
+
+def bincount_tally(table, arm_of):
+    """Reference tally: one bincount over (row, arm, outcome) codes per batch."""
+    rows, n_arms = arm_of.shape[0], table.n_arms
+    column = arm_of - 1
+    seen = table.outcomes[np.arange(table.n_units), column]
+    codes = 2 * (column + n_arms * np.arange(rows)[:, None]) + seen
+    tally = np.bincount(codes.ravel(), minlength=2 * n_arms * rows).reshape(rows, n_arms, 2)
+    return tally.sum(axis=2), tally[:, :, 1]
+
+
+class TestArmByArmTally:
+    """``observe`` tallies a batch one arm at a time; its counts equal a
+    bincount over (row, arm, outcome) codes, integer for integer."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_equals_bincount_reference(self, k, rows):
+        rng = np.random.default_rng(3000 + 10 * k + rows)
+        for _ in range(5):
+            arms = rng.integers(2, 40, size=2**k)
+            table = random_table(rng, int(arms.sum()), k=k)
+            batch = draw_assignment(arms, table.n_units, rng.spawn(rows))
+            n, n_obs = observe(table, batch)
+            expected_n, expected_n_obs = bincount_tally(table, batch)
+            assert n.dtype == n_obs.dtype == np.int64
+            assert np.array_equal(n, expected_n) and np.array_equal(n_obs, expected_n_obs)
+
+    def test_equals_bincount_on_every_assignment(self):
+        table = random_table(np.random.default_rng(8), 9, k=1)
+        batch = np.array(list(enumerate_assignments(9, np.array([4, 5]))))
+        n, n_obs = observe(table, batch)
+        expected_n, expected_n_obs = bincount_tally(table, batch)
+        assert n.shape == (126, 2)
+        assert np.array_equal(n, expected_n) and np.array_equal(n_obs, expected_n_obs)
+
+
+# Entropies and spawn-key prefixes of the bulk-seeding check: one- to
+# five-word entropy (2^130 + 5 is longer than the pool), and key words
+# past one uint32 (2^33 is two words).
+SEEDS = [0, 1, 2**40 + 3, 12345678901234567890, 2**64 - 1, 2**130 + 5]
+PREFIXES = [(), (1,), (99,), (2, 5), (2**33,)]
+
+
+class TestChildStreams:
+    """``ChildStreams`` reimplements numpy's SeedSequence hashing and PCG64
+    seeding; its states must equal those numpy builds for the same children,
+    so a change in numpy's seeding fails here."""
+
+    @staticmethod
+    def spawned_states(seed_seq, count):
+        return [np.random.PCG64(child).state for child in seed_seq.spawn(count)]
+
+    @pytest.mark.parametrize("prefix", PREFIXES, ids=str)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_states_equal_spawned_children(self, seed, prefix):
+        seed_seq = np.random.SeedSequence(seed, spawn_key=prefix)
+        expected = self.spawned_states(np.random.SeedSequence(seed, spawn_key=prefix), 82)
+        children = ChildStreams(seed_seq)
+        for start in (0, 39, 40, 41):
+            assert children.states(start, 82 - start) == expected[start:]
+        # one run of children split into chunks, as a coverage case asks for them
+        chunks = [children.states(start, min(40, 82 - start)) for start in range(0, 82, 40)]
+        assert sum(chunks, []) == expected
+        assert seed_seq.n_children_spawned == 0
+
+    def test_default_rng_streams(self):
+        """A generator's own SeedSequence (empty prefix): each reseeded
+        stream draws the first permutation its spawned child draws."""
+        seed_seq = np.random.default_rng(404).bit_generator.seed_seq
+        spawned = np.random.default_rng(404).spawn(41)
+        reseeded = ChildStreams(seed_seq).streams(0, 41)
+        assert len(reseeded) == 41
+        for stream, child in zip(reseeded, spawned):
+            assert stream.bit_generator.state == child.bit_generator.state
+            assert np.array_equal(stream.permutation(800), child.permutation(800))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_first_permutation_equals_spawned_child(self, seed):
+        seed_seq = np.random.SeedSequence(seed, spawn_key=(7,))
+        spawned = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(7,))).spawn(45)
+        children = ChildStreams(seed_seq)
+        for start in (0, 39, 40, 41):
+            for stream, child in zip(children.streams(start, 45 - start), spawned[start:]):
+                first = np.random.default_rng(child.bit_generator.seed_seq).permutation(800)
+                assert np.array_equal(stream.permutation(800), first)
+
+    def test_larger_pool(self):
+        seed_seq = np.random.SeedSequence(2**70 + 9, spawn_key=(3, 4), pool_size=9)
+        expected = self.spawned_states(
+            np.random.SeedSequence(2**70 + 9, spawn_key=(3, 4), pool_size=9), 12
+        )
+        assert ChildStreams(seed_seq).states(0, 12) == expected
+
+    def test_child_index_fits_one_word(self):
+        seed_seq = np.random.SeedSequence(5)
+        last = np.random.SeedSequence(5, spawn_key=(2**32 - 1,))
+        assert ChildStreams(seed_seq).states(2**32 - 1, 1) == [np.random.PCG64(last).state]
+        with pytest.raises(ValueError, match="not all in 0..2"):
+            ChildStreams(seed_seq).states(2**32 - 1, 2)

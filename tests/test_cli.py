@@ -577,7 +577,7 @@ class TestWorkers:
         assert list(tmp_path.iterdir()) == []
 
     def test_gamma_csv_runs_in_process(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(_fanout, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(_fanout, "process_pool", NoPool)
         gamma = tmp_path / "gamma.csv"
         gamma.write_text("\n".join(",".join(["0.5"] * 4) for _ in range(4)) + "\n")
         code, csv_out, _ = self.sensitivity(tmp_path, "s", "--gamma-csv", str(gamma), "--threads", "2")
@@ -595,7 +595,7 @@ class TestWorkers:
     def test_sweep_is_checked_before_any_worker(
         self, tmp_path, monkeypatch, capsys, k, extra, code, message
     ):
-        monkeypatch.setattr(_fanout, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(_fanout, "process_pool", NoPool)
         path = tmp_path / "in.json"
         j = 2**k
         path.write_text(json.dumps({"K": k, "n": [20] * j, "n_obs": [5] * j}))
@@ -681,6 +681,20 @@ class TestSimulate:
         assert cli.main(argv) == 2
         assert f"{path}: generator spec: unknown keys ['cels']" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
+
+    def test_replications_past_the_key_bound_exit_3(self, tmp_path, capsys):
+        """A replication's stream index is one uint32 spawn-key word, so a
+        config asking for more replications is refused before any draw."""
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({
+            "cases": {"n_cases": 2, "N": 40, "seed": 9}, "arms": [10, 10, 10, 10],
+            "effect": 1, "replications": 2**32 + 1, "seed": 3,
+        }))
+        out_csv, out_json = tmp_path / "c.csv", tmp_path / "c.json"
+        argv = ["simulate", "--config", str(path), "--out-csv", str(out_csv), "--out", str(out_json)]
+        assert cli.main(argv) == 3
+        assert "4294967297 replications exceed the bound" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestGenCases:

@@ -44,7 +44,7 @@ class RecordingPool:
 @pytest.fixture
 def recording(monkeypatch):
     RecordingPool.sizes = []
-    monkeypatch.setattr(_fanout, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(_fanout, "process_pool", RecordingPool)
     return RecordingPool.sizes
 
 
@@ -55,7 +55,7 @@ def test_results_come_back_in_job_order():
 
 @pytest.mark.parametrize("threads, jobs", [(1, 5), (4, 1), (2, 0)])
 def test_one_worker_runs_in_process(monkeypatch, threads, jobs):
-    monkeypatch.setattr(_fanout, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(_fanout, "process_pool", NoPool)
     assert _fanout.fan_out(square, range(jobs), threads, chunksize=1) == [
         x * x for x in range(jobs)
     ]
@@ -74,7 +74,7 @@ def test_default_follows_cpu_affinity(monkeypatch, recording):
 
 def test_one_usable_core_builds_no_pool(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(_fanout, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(_fanout, "process_pool", NoPool)
     assert _fanout.fan_out(square, range(4), None, chunksize=1) == [0, 1, 4, 9]
 
 

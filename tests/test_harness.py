@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from factorial2k import CaseFileError, CellCounts, ObservedData, bayes, estimands, from_cell_counts
-from factorial2k import harness, neyman
+from factorial2k import ResourceLimitError, harness, neyman
 from factorial2k.data import data_path
 from factorial2k.design import build_model_matrix, lattice_step
 from factorial2k.harness import (
@@ -439,6 +439,46 @@ class TestReplicationChunks:
                 monkeypatch.setattr(harness, "ASSIGNMENT_CELLS", budget)
                 assert self.run(case, replications) == reports
             monkeypatch.undo()
+
+
+class TestReplicationStreams:
+    """Replication r's stream is child r of the case generator's
+    SeedSequence, seeded in bulk; the child index must fit one uint32 key
+    word, and the generator's own spawn counter is left alone."""
+
+    def test_refuses_replications_past_the_key_bound(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew an assignment")
+
+        monkeypatch.setattr(harness, "draw_assignment", no_draw)
+        with pytest.raises(ResourceLimitError, match="4294967297 replications exceed the bound"):
+            coverage_experiment(
+                toy_case(), np.array([10, 10, 10, 10]), 1, 2**32 + 1, 0.95, ["neyman"],
+                np.random.default_rng(0),
+            )
+        fields = dict(cases="cases.csv", arms=(10, 10, 10, 10), effect=1, seed=3)
+        with pytest.raises(ResourceLimitError, match="exceed the bound of 4294967296 per case"):
+            StudyConfig(**fields, replications=2**32 + 1)
+        assert StudyConfig(**fields, replications=2**32).replications == 2**32
+
+    def test_config_file_past_the_key_bound(self, tmp_path):
+        path = write_toy_config(tmp_path, toy_rows(), replications=2**32 + 1)
+        with pytest.raises(ResourceLimitError):
+            StudyConfig.from_json(path)
+
+    def test_needs_a_pcg64_generator(self):
+        with pytest.raises(ValueError, match="need a PCG64 generator"):
+            coverage_experiment(
+                toy_case(), np.array([10, 10, 10, 10]), 1, 5, 0.95, ["neyman"],
+                np.random.Generator(np.random.Philox(0)),
+            )
+
+    def test_spawn_counter_not_advanced(self):
+        rng = np.random.default_rng(6)
+        args = (toy_case(), np.array([10, 10, 10, 10]), 1, 10, 0.95, ["neyman"])
+        first = coverage_experiment(*args, rng)
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
+        assert coverage_experiment(*args, rng) == first
 
 
 class TestReplicationContract:
