@@ -122,16 +122,30 @@ def check_lattice(points: int) -> None:
         )
 
 
-def check_arms(arms, n_units: int, n_arms: int | None = None) -> np.ndarray:
-    """Arm sizes as an int64 vector; each at least 2, summing to ``n_units``,
-    and ``n_arms`` of them when given."""
-    arms = np.asarray(arms, dtype=np.int64)
-    if arms.ndim != 1 or arms.sum() != n_units:
-        raise ValueError(f"arm sizes must sum to {n_units}, got {arms.tolist()}")
+def check_units(units: int) -> None:
+    """At most 2^53 units, which keeps N, J x N and every lattice index exact
+    in int64 and float64."""
+    if units > 2**53:
+        raise ValueError(f"total unit count must not exceed 2^53, got {units}")
+
+
+def check_arms(arms, n_units: int | None = None, n_arms: int | None = None) -> np.ndarray:
+    """Arm sizes as an int64 vector under the rule of :func:`whole_numbers`;
+    each at least 2, at most 2^53 in all, summing to ``n_units`` and
+    ``n_arms`` of them when given.  The sum is taken over Python ints, so it
+    cannot wrap as an int64 sum could."""
+    arms = whole_numbers(arms, "arm sizes")
+    if arms.ndim != 1:
+        raise ValueError(f"arm sizes must form a vector, got {arms.tolist()}")
+    sizes = arms.tolist()
+    total = sum(sizes)
+    if n_units is not None and total != n_units:
+        raise ValueError(f"arm sizes must sum to {n_units}, got {sizes}")
     if n_arms is not None and arms.size != n_arms:
         raise ValueError(f"expected {n_arms} arm sizes, got {arms.size}")
     if (arms < 2).any():
         raise ValueError("every arm needs at least 2 units")
+    check_units(total)
     return arms
 
 

@@ -6,6 +6,10 @@ each replication its own child stream, so results do not depend on
 execution order.  :class:`ChildStreams` computes those children's PCG64
 states in bulk instead of building one ``SeedSequence`` and generator
 per replication.
+
+The design fixes the arm sizes n_1..n_J, and with them N = sum n_j: every
+assignment drawn or enumerated here has exactly those sizes, so they are
+taken from ``arms`` and never counted again.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Collection, Iterator
 
 import numpy as np
 
-from ._checks import check_arms, check_factors, whole_numbers
+from ._checks import check_arms, check_factors, check_units, whole_numbers
 from .errors import ResourceLimitError
 from .population import PotentialTable
 
@@ -56,9 +60,7 @@ class ObservedData:
             raise ValueError("every arm needs at least 2 assigned units")
         if not all(0 <= s <= size for s, size in zip(successes, sizes)):
             raise ValueError("success counts must satisfy 0 <= n_obs <= n")
-        units = sum(sizes)
-        if units > 2**53:  # keeps N, J x N and every lattice index exact in int64 and float64
-            raise ValueError(f"total unit count must not exceed 2^53, got {units}")
+        check_units(sum(sizes))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "n_obs", n_obs)
         self.n.setflags(write=False)
@@ -92,21 +94,13 @@ def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
 _STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 9)
 
 
-def _uint32_words(value) -> list[int]:
-    """An int, or a sequence of ints, as numpy's SeedSequence reads entropy
-    and spawn keys: each int as its little-endian 32-bit words."""
+def _word_count(value) -> int:
+    """How many uint32 words numpy's SeedSequence reads from an int, or a
+    sequence of ints, given as entropy or spawn key: each int's
+    little-endian 32-bit words, at least one."""
     if isinstance(value, numbers.Integral):
-        value = int(value)
-        words = [value & _WORD]
-        while value := value >> 32:
-            words.append(value & _WORD)
-        return words
-    return [word for item in value for word in _uint32_words(item)]
-
-
-def _mix(x: int, y: int) -> int:
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _WORD
-    return result ^ result >> 16
+        return max(1, -(-int(value).bit_length() // 32))
+    return sum(_word_count(item) for item in value)
 
 
 class ChildStreams:
@@ -114,40 +108,24 @@ class ChildStreams:
 
     Child i is the stream ``PCG64(SeedSequence(entropy, spawn_key=spawn_key
     + (i,), pool_size=pool_size))`` that ``spawn`` hands out as its i-th
-    child, for i below 2^32 (one key word).  The words all children share
-    (the entropy, zero-padded to the pool size, then the parent's spawn
-    key) are hashed once, here, by a Python-int copy of numpy's
-    ``mix_entropy``.  :meth:`states` then mixes in each child's own key
-    word and runs ``generate_state(4, uint64)`` as uint32 array operations
-    over all requested children, and PCG64's 128-bit seeding step on Python
-    ints.  The parent's spawn counter is not read or advanced.
+    child, for i below 2^32 (one key word).  A child hashes the parent's
+    words (the entropy, zero-padded to the pool size, then the parent's
+    spawn key) and then its own key word.  numpy has already mixed the
+    parent's words into ``seed_seq.pool``, taking ``pool_size`` steps of
+    the hash constant per word, so the constant is read off the word
+    count.  :meth:`states` then mixes in each child's own key word and runs
+    ``generate_state(4, uint64)`` as uint32 array operations over all
+    requested children, and PCG64's 128-bit seeding step on Python ints.
+    The parent's spawn counter is not read or advanced.
     """
 
     def __init__(self, seed_seq: np.random.SeedSequence):
         size = seed_seq.pool_size
-        entropy = _uint32_words(seed_seq.entropy)
-        # a spawned child's entropy is padded to the pool size before its key
-        words = entropy + [0] * (size - len(entropy)) + _uint32_words(seed_seq.spawn_key)
-        hash_const = _INIT_A
-
-        def hashmix(value: int) -> int:
-            nonlocal hash_const
-            value ^= hash_const
-            hash_const = hash_const * _MULT_A & _WORD
-            value = value * hash_const & _WORD
-            return value ^ value >> 16
-
-        pool = [hashmix(word) for word in words[:size]]
-        for src in range(size):
-            for dst in range(size):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-        for word in words[size:]:
-            for dst in range(size):
-                pool[dst] = _mix(pool[dst], hashmix(word))
+        words = max(_word_count(seed_seq.entropy), size) + _word_count(seed_seq.spawn_key)
+        hash_const = _INIT_A * pow(_MULT_A, size * words, _WORD + 1) & _WORD
         # the child's key word is mixed into each pool word in turn:
-        # _mix(pool, hashmix(key)), its left half the same for every child
-        self._pool_left = np.array([_MIX_MULT_L * word & _WORD for word in pool], dtype=np.uint32)
+        # mix(pool, hashmix(key)), its left half the same for every child
+        self._pool_left = seed_seq.pool * np.uint32(_MIX_MULT_L)
         self._key_constants = _hash_constants(hash_const, _MULT_A, size + 1)
         self._state_words = np.arange(8) % size
         self._generator = np.random.Generator(np.random.PCG64(seed_seq))
@@ -204,22 +182,21 @@ class _Reseeded:
             yield self._generator
 
 
-def draw_assignment(
-    arms: np.ndarray, n_units: int, streams: Collection[np.random.Generator]
-) -> np.ndarray:
+def draw_assignment(arms: np.ndarray, streams: Collection[np.random.Generator]) -> np.ndarray:
     """Uniform completely randomized assignments into groups of the given
     sizes, one per stream.
 
-    Returns the read-only (R, N) int64 arm matrix for R streams: entry
-    (r, i) is unit i's 1-based arm in assignment r.  Row r splits one
-    ``permutation(n_units)`` call on the r-th stream into consecutive
-    blocks, which makes every partition into labelled groups of sizes
-    n_1..n_J equally likely.  The streams are iterated once, in order, and
-    each is drawn from before the next is taken (as
-    :meth:`ChildStreams.streams` requires).
+    Returns the read-only (R, N) int64 arm matrix for R streams, where N is
+    the sum of the arm sizes: entry (r, i) is unit i's 1-based arm in
+    assignment r.  Row r splits one ``permutation(N)`` call on the r-th
+    stream into consecutive blocks, which makes every partition into
+    labelled groups of sizes n_1..n_J equally likely.  The streams are
+    iterated once, in order, and each is drawn from before the next is
+    taken (as :meth:`ChildStreams.streams` requires).
     """
-    arms = check_arms(arms, n_units)
-    labels = np.repeat(np.arange(1, arms.size + 1), arms)
+    arms = check_arms(arms)
+    labels = np.repeat(np.arange(1, arms.size + 1), arms)  # one per unit
+    n_units = labels.size
     arm_of = np.empty((len(streams), n_units), dtype=np.int64)
     for row, stream in zip(arm_of, streams):
         row[stream.permutation(n_units)] = labels
@@ -227,46 +204,44 @@ def draw_assignment(
     return arm_of
 
 
-def observe(table: PotentialTable, arm_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def observe(table: PotentialTable, arm_of: np.ndarray) -> np.ndarray:
     """Reveal each unit's outcome under its arm ``arm_of[r, i]`` (1-based)
-    in every row r of an assignment batch, and tally each row per arm.
+    in every row r of an assignment batch, and count each row's successes
+    per arm.
 
-    Returns ``(n, n_obs)``, (R, J) int64 arrays of arm sizes and successes.
+    Returns the (R, J) int64 success counts.  Every row of a batch that
+    :func:`draw_assignment` or :func:`enumerate_assignments` builds has the
+    design's arm sizes, so they are not counted again.
     """
     if arm_of.ndim != 2 or arm_of.shape[1] != table.n_units:
         raise ValueError("assignment and table describe different unit counts")
-    n = np.empty((arm_of.shape[0], table.n_arms), dtype=np.int64)
-    n_obs = np.empty_like(n)
+    n_obs = np.empty((arm_of.shape[0], table.n_arms), dtype=np.int64)
     # arm by arm: J boolean passes over the batch beat one int64 bincount
     # over (row, arm, outcome) codes at the J <= 4 of a coverage study
     for j, success in enumerate(table.outcomes.T.astype(bool)):
-        in_arm = arm_of == j + 1
-        n[:, j] = np.count_nonzero(in_arm, axis=1)
-        n_obs[:, j] = np.count_nonzero(in_arm & success, axis=1)
-    return n, n_obs
+        n_obs[:, j] = np.count_nonzero((arm_of == j + 1) & success, axis=1)
+    return n_obs
 
 
-def count_assignments(n_units: int, arms: np.ndarray) -> int:
+def count_assignments(arms: np.ndarray) -> int:
     """Multinomial coefficient: number of distinct assignments."""
-    arms = np.asarray(arms, dtype=np.int64)
-    if arms.sum() != n_units or (arms < 0).any():
-        raise ValueError(f"arm sizes must be nonnegative and sum to {n_units}")
-    return math.factorial(n_units) // math.prod(math.factorial(int(s)) for s in arms)
+    sizes = check_arms(arms).tolist()
+    return math.factorial(sum(sizes)) // math.prod(math.factorial(s) for s in sizes)
 
 
-def enumerate_assignments(n_units: int, arms: np.ndarray) -> Iterator[np.ndarray]:
+def enumerate_assignments(arms: np.ndarray) -> Iterator[np.ndarray]:
     """Yield every distinct assignment exactly once, as a read-only arm vector.
 
     Exhaustive-enumeration oracle for small populations; refuses to run
     when the multinomial coefficient exceeds ``MAX_ENUMERATION``.
     """
-    total = count_assignments(n_units, arms)
+    sizes = check_arms(arms).tolist()
+    total = count_assignments(sizes)
     if total > MAX_ENUMERATION:
         raise ResourceLimitError(
             f"{total} assignments exceed the enumeration bound {MAX_ENUMERATION}"
         )
-    sizes = [int(s) for s in arms]
-    arm_of = np.empty(n_units, dtype=np.int64)
+    arm_of = np.empty(sum(sizes), dtype=np.int64)
 
     def fill(remaining: tuple[int, ...], arm: int) -> Iterator[np.ndarray]:
         if arm == len(sizes):  # last arm takes whatever is left
@@ -280,4 +255,4 @@ def enumerate_assignments(n_units: int, arms: np.ndarray) -> Iterator[np.ndarray
             rest = tuple(u for u in remaining if u not in chosen)
             yield from fill(rest, arm + 1)
 
-    yield from fill(tuple(range(n_units)), 1)
+    yield from fill(tuple(range(arm_of.size)), 1)

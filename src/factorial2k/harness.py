@@ -26,8 +26,10 @@ from ._checks import (
     check_arms,
     check_effect,
     check_keys,
+    check_level,
     check_methods,
     check_replications,
+    check_units,
     csv_number,
     read_csv_rows,
     read_json_object,
@@ -99,6 +101,7 @@ def generate_cases(
         raise ValueError("need at least one case")
     if total < 1:
         raise ValueError("population size must be positive")
+    check_units(total)
     k = CellCounts.factors(cells)
     cases = []
     for case_id in range(1, n_cases + 1):
@@ -142,12 +145,15 @@ def coverage_experiment(
     ``rng``'s PCG64 ``SeedSequence``, the stream a fresh ``rng.spawn``
     hands out r-th.  :class:`ChildStreams` seeds the children in bulk; it
     neither reads nor advances ``rng``'s spawn counter.  The replications
-    are drawn and tallied in row chunks of ``ASSIGNMENT_CELLS`` cells.  The
-    Neyman interval is built per replication, the exact Bayes intervals of
-    all replications in one batched call.  An interval covers when
-    lower <= true effect <= upper.
+    are drawn and their successes counted in row chunks of
+    ``ASSIGNMENT_CELLS`` cells; every replication has the design's arm
+    sizes ``arms``.  The Neyman interval is built per replication, the
+    exact Bayes intervals of all replications in one batched call.  An
+    interval covers when lower <= true effect <= upper.
     """
-    arms = check_arms(arms, case.n_units, 2**case.counts.k)
+    # a copy: each replication's ObservedData freezes it, and check_arms
+    # may hand back the caller's own array
+    arms = check_arms(arms, case.n_units, 2**case.counts.k).copy()
     check_replications(replications)
     methods = check_methods(methods, METHODS)
     if not isinstance(rng.bit_generator, np.random.PCG64):
@@ -163,11 +169,11 @@ def coverage_experiment(
     for start in range(0, replications, chunk):
         # replication r gets child r whatever the chunk size
         streams = children.streams(start, min(chunk, replications - start))
-        n, n_obs = observe(table, draw_assignment(arms, case.n_units, streams))
+        n_obs = observe(table, draw_assignment(arms, streams))
         successes_by_chunk.append(n_obs)
         if "neyman" in methods:
-            for n_r, n_obs_r in zip(n, n_obs):
-                obs = ObservedData(k=table.k, n=n_r, n_obs=n_obs_r)
+            for n_obs_r in n_obs:
+                obs = ObservedData(k=table.k, n=arms, n_obs=n_obs_r)
                 report = neyman.confidence_interval(obs, matrix, l, level)
                 neyman_bounds.append((report.lower, report.upper))
     bounds = {"neyman": np.array(neyman_bounds).T}
@@ -218,6 +224,7 @@ class StudyConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "methods", check_methods(self.methods, METHODS))
         check_replications(self.replications)
+        check_level(self.level)
 
     @classmethod
     def from_json(cls, path) -> "StudyConfig":
@@ -260,7 +267,7 @@ class StudyConfig:
         )
         try:
             return cls(**fields)
-        except ValueError as exc:  # the methods rule
+        except ValueError as exc:  # the methods and level rules
             raise ValueError(f"{path}: {exc}") from exc
 
 

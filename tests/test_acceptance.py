@@ -161,7 +161,7 @@ def test_criterion_5_enumeration_identities(h2):
         rng = np.random.default_rng(np.random.SeedSequence(MASTER_SEED, spawn_key=(5,)))
         arms = np.array([2, 2, 2, 2])
         columns = [[int(v) for v in h2.entries[:, l]] for l in (1, 2, 3)]
-        assignments = np.array(list(enumerate_assignments(8, arms)))
+        assignments = np.array(list(enumerate_assignments(arms)))
         for _ in range(20):
             table = random_table(rng, 8)
             ones = [int(table.outcomes[:, j].sum()) for j in range(4)]
@@ -170,7 +170,7 @@ def test_criterion_5_enumeration_identities(h2):
             sum_u_sq = [0, 0, 0]
             sum_v = 0
             count = 0
-            _, successes = observe(table, assignments)
+            successes = observe(table, assignments)
             for row in successes:
                 n_obs = [int(o) for o in row]
                 for i, h in enumerate(columns):

@@ -17,7 +17,7 @@ from helpers import random_table
 
 class TestDrawAssignment:
     def test_arm_sizes_exact(self):
-        a = draw_assignment(np.array([3, 4, 5]), 12, np.random.default_rng(0).spawn(5))
+        a = draw_assignment(np.array([3, 4, 5]), np.random.default_rng(0).spawn(5))
         assert a.shape == (5, 12) and a.dtype == np.int64
         for row in a:
             assert np.bincount(row, minlength=4)[1:].tolist() == [3, 4, 5]
@@ -27,35 +27,31 @@ class TestDrawAssignment:
         1/4; checked with a chi-square test on 100k draws, one stream
         drawing every row in turn."""
         rng = np.random.default_rng(123)
-        a = draw_assignment(np.array([2, 2, 2, 2]), 8, [rng] * 100_000)
+        a = draw_assignment(np.array([2, 2, 2, 2]), [rng] * 100_000)
         for unit in range(8):
             counts = np.bincount(a[:, unit] - 1, minlength=4)
             assert stats.chisquare(counts).pvalue > 1e-3
 
     def test_degenerate_single_arm(self):
-        a = draw_assignment(np.array([8]), 8, [np.random.default_rng(1)])
+        a = draw_assignment(np.array([8]), [np.random.default_rng(1)])
         assert (a == 1).all()
 
     def test_fixed_seed_reproduces(self):
-        a = draw_assignment(np.array([2, 2, 2, 2]), 8, [np.random.default_rng(99)])
-        b = draw_assignment(np.array([2, 2, 2, 2]), 8, [np.random.default_rng(99)])
+        a = draw_assignment(np.array([2, 2, 2, 2]), [np.random.default_rng(99)])
+        b = draw_assignment(np.array([2, 2, 2, 2]), [np.random.default_rng(99)])
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = draw_assignment(np.array([4, 4]), 8, [np.random.default_rng(1)])
-        b = draw_assignment(np.array([4, 4]), 8, [np.random.default_rng(2)])
+        a = draw_assignment(np.array([4, 4]), [np.random.default_rng(1)])
+        b = draw_assignment(np.array([4, 4]), [np.random.default_rng(2)])
         assert not np.array_equal(a, b)
-
-    def test_rejects_size_mismatch(self):
-        with pytest.raises(ValueError):
-            draw_assignment(np.array([2, 2]), 5, [np.random.default_rng(0)])
 
     def test_rejects_undersized_arm(self):
         with pytest.raises(ValueError):
-            draw_assignment(np.array([1, 7]), 8, [np.random.default_rng(0)])
+            draw_assignment(np.array([1, 7]), [np.random.default_rng(0)])
 
     def test_batch_is_read_only(self):
-        a = draw_assignment(np.array([2, 2]), 4, np.random.default_rng(0).spawn(3))
+        a = draw_assignment(np.array([2, 2]), np.random.default_rng(0).spawn(3))
         with pytest.raises(ValueError):
             a[0, 0] = 2
 
@@ -63,36 +59,38 @@ class TestDrawAssignment:
 class TestObserve:
     def test_all_ones_table(self):
         table = PotentialTable(k=2, outcomes=np.ones((8, 4), dtype=int))
-        a = draw_assignment(np.array([2, 2, 2, 2]), 8, np.random.default_rng(3).spawn(4))
-        n, n_obs = observe(table, a)
-        assert n.shape == n_obs.shape == (4, 4)
-        assert np.array_equal(n_obs, n)
+        arms = np.array([2, 2, 2, 2])
+        n_obs = observe(table, draw_assignment(arms, np.random.default_rng(3).spawn(4)))
+        assert n_obs.shape == (4, 4)
+        assert np.array_equal(n_obs, np.tile(arms, (4, 1)))
 
     def test_all_zeros_table(self):
         table = PotentialTable(k=2, outcomes=np.zeros((8, 4), dtype=int))
-        a = draw_assignment(np.array([2, 2, 2, 2]), 8, np.random.default_rng(3).spawn(4))
-        _, n_obs = observe(table, a)
+        a = draw_assignment(np.array([2, 2, 2, 2]), np.random.default_rng(3).spawn(4))
+        n_obs = observe(table, a)
         assert n_obs.sum() == 0
 
     def test_matches_per_unit_recount(self, case1_table):
-        a = draw_assignment(np.array([200, 200, 200, 200]), 800, [np.random.default_rng(41)])
-        n, n_obs = observe(case1_table, a)
-        recount = np.zeros(4, dtype=int)
+        arms = np.array([200, 200, 200, 200])
+        a = draw_assignment(arms, [np.random.default_rng(41)])
+        n_obs = observe(case1_table, a)
+        sizes, recount = np.zeros(4, dtype=int), np.zeros(4, dtype=int)
         for unit in range(800):
             arm = a[0, unit]
+            sizes[arm - 1] += 1
             recount[arm - 1] += case1_table.outcomes[unit, arm - 1]
         assert np.array_equal(n_obs[0], recount)
-        assert n[0].sum() == 800
+        assert np.array_equal(sizes, arms)
 
     def test_rejects_unit_count_mismatch(self):
         rng = np.random.default_rng(5)
         table = random_table(rng, 8)
-        a = draw_assignment(np.array([3, 3, 3, 3]), 12, [rng])
+        a = draw_assignment(np.array([3, 3, 3, 3]), [rng])
         message = "assignment and table describe different unit counts"
         with pytest.raises(ValueError, match=message):
             observe(table, a)
         with pytest.raises(ValueError, match=message):  # an arm vector is no batch
-            observe(table, draw_assignment(np.array([2, 2, 2, 2]), 8, [rng])[0])
+            observe(table, draw_assignment(np.array([2, 2, 2, 2]), [rng])[0])
 
 
 class TestEnumerateAssignments:
@@ -101,20 +99,21 @@ class TestEnumerateAssignments:
         [(4, (2, 2), 6), (8, (2, 2, 2, 2), 2520), (6, (2, 2, 2), 90)],
     )
     def test_counts(self, n_units, arms, expected):
-        assert count_assignments(n_units, np.array(arms)) == expected
-        assignments = list(enumerate_assignments(n_units, np.array(arms)))
+        assert count_assignments(np.array(arms)) == expected
+        assignments = list(enumerate_assignments(np.array(arms)))
         assert len(assignments) == expected
+        assert {a.size for a in assignments} == {n_units}
 
     def test_assignments_distinct_and_sized(self):
         seen = set()
-        for a in enumerate_assignments(6, np.array([2, 2, 2])):
+        for a in enumerate_assignments(np.array([2, 2, 2])):
             assert np.bincount(a, minlength=4)[1:].tolist() == [2, 2, 2]
             seen.add(tuple(a.tolist()))
         assert len(seen) == 90
 
     def test_resource_limit(self):
         with pytest.raises(ResourceLimitError):
-            list(enumerate_assignments(30, np.array([15, 15])))
+            list(enumerate_assignments(np.array([15, 15])))
 
 
 def block_assignment(arms, n_units, seed):
@@ -149,7 +148,7 @@ class TestLoopFreePath:
         k = int(rng.integers(1, 4))
         arms = rng.integers(2, 30, size=2**k)
         n_units = int(arms.sum())
-        [drawn] = draw_assignment(arms, n_units, [np.random.default_rng(seed)])
+        [drawn] = draw_assignment(arms, [np.random.default_rng(seed)])
         assert np.array_equal(drawn, block_assignment(arms, n_units, seed))
 
     @pytest.mark.parametrize("rows", [1, 2, 7])
@@ -159,7 +158,7 @@ class TestLoopFreePath:
         arms = np.array([3, 5, 2, 4])
         seeds = [300 + 17 * r for r in range(rows)]
         streams = [np.random.default_rng(seed) for seed in seeds]
-        drawn = draw_assignment(arms, 14, streams)
+        drawn = draw_assignment(arms, streams)
         assert drawn.shape == (rows, 14)
         for row, seed, stream in zip(drawn, seeds, streams):
             assert np.array_equal(row, block_assignment(arms, 14, seed))
@@ -173,20 +172,21 @@ class TestLoopFreePath:
         k = int(rng.integers(1, 4))
         arms = rng.integers(2, 30, size=2**k)
         table = random_table(rng, int(arms.sum()), k=k)
-        batch = draw_assignment(arms, table.n_units, np.random.default_rng(seed).spawn(7))
-        n, n_obs = observe(table, batch)
+        batch = draw_assignment(arms, np.random.default_rng(seed).spawn(7))
+        n_obs = observe(table, batch)
         for r, assignment in enumerate(batch):
             expected_n, expected_n_obs = unit_sum(table, assignment)
-            assert np.array_equal(n[r], expected_n) and np.array_equal(n_obs[r], expected_n_obs)
+            assert np.array_equal(expected_n, arms) and np.array_equal(n_obs[r], expected_n_obs)
 
     def test_observe_on_every_assignment(self):
         table = random_table(np.random.default_rng(7), 8)
-        batch = np.array(list(enumerate_assignments(8, np.array([2, 2, 2, 2]))))
-        n, n_obs = observe(table, batch)
-        assert n.shape == n_obs.shape == (2520, 4)
+        arms = np.array([2, 2, 2, 2])
+        batch = np.array(list(enumerate_assignments(arms)))
+        n_obs = observe(table, batch)
+        assert n_obs.shape == (2520, 4)
         for r, assignment in enumerate(batch):
             expected_n, expected_n_obs = unit_sum(table, assignment)
-            assert np.array_equal(n[r], expected_n) and np.array_equal(n_obs[r], expected_n_obs)
+            assert np.array_equal(expected_n, arms) and np.array_equal(n_obs[r], expected_n_obs)
 
 
 def bincount_tally(table, arm_of):
@@ -200,8 +200,9 @@ def bincount_tally(table, arm_of):
 
 
 class TestArmByArmTally:
-    """``observe`` tallies a batch one arm at a time; its counts equal a
-    bincount over (row, arm, outcome) codes, integer for integer."""
+    """``observe`` counts a batch's successes one arm at a time; its counts
+    equal a bincount over (row, arm, outcome) codes, integer for integer,
+    and the bincount's arm sizes are the design's."""
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("rows", [1, 2, 7])
@@ -210,19 +211,22 @@ class TestArmByArmTally:
         for _ in range(5):
             arms = rng.integers(2, 40, size=2**k)
             table = random_table(rng, int(arms.sum()), k=k)
-            batch = draw_assignment(arms, table.n_units, rng.spawn(rows))
-            n, n_obs = observe(table, batch)
+            batch = draw_assignment(arms, rng.spawn(rows))
+            n_obs = observe(table, batch)
             expected_n, expected_n_obs = bincount_tally(table, batch)
-            assert n.dtype == n_obs.dtype == np.int64
-            assert np.array_equal(n, expected_n) and np.array_equal(n_obs, expected_n_obs)
+            assert n_obs.dtype == np.int64
+            assert np.array_equal(expected_n, np.tile(arms, (rows, 1)))
+            assert np.array_equal(n_obs, expected_n_obs)
 
     def test_equals_bincount_on_every_assignment(self):
         table = random_table(np.random.default_rng(8), 9, k=1)
-        batch = np.array(list(enumerate_assignments(9, np.array([4, 5]))))
-        n, n_obs = observe(table, batch)
+        arms = np.array([4, 5])
+        batch = np.array(list(enumerate_assignments(arms)))
+        n_obs = observe(table, batch)
         expected_n, expected_n_obs = bincount_tally(table, batch)
-        assert n.shape == (126, 2)
-        assert np.array_equal(n, expected_n) and np.array_equal(n_obs, expected_n_obs)
+        assert n_obs.shape == (126, 2)
+        assert np.array_equal(expected_n, np.tile(arms, (126, 1)))
+        assert np.array_equal(n_obs, expected_n_obs)
 
 
 # Entropies and spawn-key prefixes of the bulk-seeding check: one- to
@@ -230,6 +234,17 @@ class TestArmByArmTally:
 # past one uint32 (2^33 is two words).
 SEEDS = [0, 1, 2**40 + 3, 12345678901234567890, 2**64 - 1, 2**130 + 5]
 PREFIXES = [(), (1,), (99,), (2, 5), (2**33,)]
+# List entropies of four and six words in three items, and a 10-word int
+# entropy, with an empty prefix and with a prefix of one- and three-word
+# key words.
+WORD_COUNT_CASES = [
+    ([1, 2**40, 3], ()),
+    ([1, 2**40, 3], (7, 2**70)),
+    ([2**40, 3, 2**70], ()),
+    (2**300 + 7, ()),
+    (2**300 + 7, (7, 2**70)),
+]
+WORD_COUNT_IDS = ["list", "list-(7,2^70)", "6-word-list", "10-word", "10-word-(7,2^70)"]
 
 
 class TestChildStreams:
@@ -281,6 +296,22 @@ class TestChildStreams:
             np.random.SeedSequence(2**70 + 9, spawn_key=(3, 4), pool_size=9), 12
         )
         assert ChildStreams(seed_seq).states(0, 12) == expected
+
+    @pytest.mark.parametrize("pool_size", [4, 9])
+    @pytest.mark.parametrize("entropy, prefix", WORD_COUNT_CASES, ids=WORD_COUNT_IDS)
+    def test_word_count_of_the_pool(self, entropy, prefix, pool_size):
+        """The hash constant is read off the word count of entropy and key,
+        which differs from their lengths: list entropy, an entropy longer
+        than the pool, key words past one uint32."""
+
+        def seed_seq():
+            return np.random.SeedSequence(entropy, spawn_key=prefix, pool_size=pool_size)
+
+        children, spawned = ChildStreams(seed_seq()), seed_seq().spawn(41)
+        assert children.states(0, 41) == [np.random.PCG64(child).state for child in spawned]
+        for stream, child in zip(children.streams(0, 41), spawned):
+            first = np.random.default_rng(child).permutation(800)
+            assert np.array_equal(stream.permutation(800), first)
 
     def test_child_index_fits_one_word(self):
         seed_seq = np.random.SeedSequence(5)

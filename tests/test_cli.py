@@ -696,6 +696,56 @@ class TestSimulate:
         assert "4294967297 replications exceed the bound" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "arms, message",
+        [
+            ([2**62, 2**62, 2**62, 2**62 + 800], "error: arm sizes must sum to 800, got ["),
+            ([2**70, 2, 2, 2], "error: arm sizes: values must fit in 64 bits"),
+        ],
+        ids=["int64-sum-wraps", "past-64-bits"],
+    )
+    def test_huge_arm_sizes_exit_2(self, tmp_path, arms, message, threads):
+        """The bundled imbalanced study with arm sizes whose int64 sum wraps
+        to its 800 units, or that do not fit int64, is refused before any
+        worker starts; run in a subprocess, where a crash fails this test
+        alone."""
+        config = json.loads(data_path("study_imbalanced.json").read_text())
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({**config, "arms": arms}))
+        out_csv, out_json = tmp_path / "c.csv", tmp_path / "c.json"
+        cp = run_cli(
+            "simulate", "--config", path, "--out-csv", out_csv, "--out", out_json,
+            "--threads", threads,
+        )
+        assert cp.returncode == 2, cp.stderr
+        assert message in cp.stderr and "Traceback" not in cp.stderr
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_huge_generator_total_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({
+            "cases": {"n_cases": 2, "N": 10**23, "seed": 9}, "arms": [10, 10, 10, 10],
+            "effect": 1, "replications": 5, "seed": 3,
+        }))
+        out_csv, out_json = tmp_path / "c.csv", tmp_path / "c.json"
+        argv = ["simulate", "--config", str(path), "--out-csv", str(out_csv), "--out", str(out_json)]
+        assert cli.main(argv) == 2
+        assert f"total unit count must not exceed 2^53, got {10**23}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_level_fails_before_the_cases(self, tmp_path, monkeypatch, capsys):
+        def no_cases(config):
+            raise AssertionError("resolved the cases")
+
+        monkeypatch.setattr(harness, "resolve_cases", no_cases)
+        config = write_toy_config(tmp_path, toy_rows(1), level=1.5)
+        out_csv, out_json = tmp_path / "c.csv", tmp_path / "c.json"
+        argv = ["simulate", "--config", str(config), "--out-csv", str(out_csv), "--out", str(out_json)]
+        assert cli.main(argv) == 2
+        assert f"error: {config}: interval level must be in (0,1), got 1.5" in capsys.readouterr().err
+        assert not out_csv.exists() and not out_json.exists()
+
 
 class TestGenCases:
     def test_rows_sum_to_total(self, tmp_path):
@@ -720,6 +770,13 @@ class TestGenCases:
             "--out", tmp_path / "x.csv",
         )
         assert cp.returncode == 2
+
+    def test_total_past_2_53_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["gen-cases", "--count", "2", "--total", str(10**23), "--seed", "1", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert f"error: total unit count must not exceed 2^53, got {10**23}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEntryPoints:

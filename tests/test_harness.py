@@ -85,6 +85,17 @@ class TestGenerateCases:
         with pytest.raises(ValueError):
             generate_cases(10, 800, 5, rng)
 
+    def test_unit_total_bound(self):
+        """At most 2^53 units, the bound ObservedData keeps; a larger total
+        is refused before anything is drawn."""
+        rng = np.random.default_rng(0)
+        [case] = generate_cases(1, 2**53, 4, rng)
+        assert case.n_units == 2**53
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"total unit count must not exceed 2\^53, got 10+$"):
+            generate_cases(1, 10**23, 4, rng)
+        assert rng.bit_generator.state == state
+
 
 class TestLoadFixtureCases:
     def test_bundled_file_shape(self):
@@ -175,8 +186,7 @@ class TestCoverageExperiment:
         assert estimands(from_cell_counts(case.counts), matrix).tau[0] < report.lower
 
         def observe_tie(table, arm_of):
-            rows = (len(arm_of), 1)
-            return np.tile(tie.n, rows), np.tile(tie.n_obs, rows)
+            return np.tile(tie.n_obs, (len(arm_of), 1))
 
         monkeypatch.setattr(harness, "observe", observe_tie)
         [row] = coverage_experiment(
@@ -197,6 +207,13 @@ class TestCoverageExperiment:
                 toy_case(), np.array([10, 10, 10, 11]), 1, 5, 0.95, ["neyman"],
                 np.random.default_rng(0),
             )
+
+    def test_leaves_the_callers_arms_writable(self):
+        """Each replication's ObservedData freezes the arm sizes it is given;
+        those must not be the caller's array."""
+        arms = np.array([10, 10, 10, 10])
+        coverage_experiment(toy_case(), arms, 1, 5, 0.95, ["neyman"], np.random.default_rng(0))
+        assert arms.flags.writeable
 
     @pytest.mark.parametrize(
         "methods, message",
@@ -238,6 +255,13 @@ class TestStudyConfig:
         config = StudyConfig.from_json(path)
         assert config.cases == GeneratorSpec(n_cases=5, total=40, cells=16, seed=9)
         assert config.level == 0.95  # default
+
+    @pytest.mark.parametrize("level", [1.5, 0, 1, -0.5, float("nan")])
+    def test_level_checked_at_load(self, tmp_path, level):
+        path = write_toy_config(tmp_path, toy_rows(1), level=level)
+        with pytest.raises(ValueError) as info:
+            StudyConfig.from_json(path)
+        assert str(info.value) == f"{path}: interval level must be in (0,1), got {float(level)}"
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "study.json"
@@ -369,8 +393,8 @@ class TestBatchedBayes:
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(case.case_id,)))
         covered, width_sum = 0, 0.0
         for stream in rng.spawn(self.REPLICATIONS):
-            n, n_obs = harness.observe(table, harness.draw_assignment(arms, case.n_units, [stream]))
-            obs = ObservedData(k=case.counts.k, n=n[0], n_obs=n_obs[0])
+            [n_obs] = harness.observe(table, harness.draw_assignment(arms, [stream]))
+            obs = ObservedData(k=case.counts.k, n=arms, n_obs=n_obs)
             offset, pmf = bayes.predictive_pmf(obs, matrix, config.effect, prior)
             lower, upper = pmf_quantiles(offset, pmf, step, config.level)
             covered += lower <= true_value <= upper
@@ -418,8 +442,8 @@ class TestReplicationChunks:
         arms, true_value = np.array([200, 200, 200, 200]), float(case.true_effects[0])
         covered, width_sum = 0, 0.0
         for stream in np.random.default_rng(self.SEED).spawn(replications):
-            n, n_obs = harness.observe(table, harness.draw_assignment(arms, case.n_units, [stream]))
-            obs = ObservedData(k=case.counts.k, n=n[0], n_obs=n_obs[0])
+            [n_obs] = harness.observe(table, harness.draw_assignment(arms, [stream]))
+            obs = ObservedData(k=case.counts.k, n=arms, n_obs=n_obs)
             report = neyman.confidence_interval(obs, matrix, 1, 0.95)
             covered += report.lower <= true_value <= report.upper
             width_sum += report.upper - report.lower

@@ -126,7 +126,7 @@ class TestEnumerationIdentities:
         table = random_table(rng, 8)
         arms = np.array([2, 2, 2, 2])
         n_arm_ones = [int(table.outcomes[:, j].sum()) for j in range(4)]
-        _, successes = observe(table, np.array(list(enumerate_assignments(8, arms))))
+        successes = observe(table, np.array(list(enumerate_assignments(arms))))
 
         for l in (1, 2, 3):
             h = [int(v) for v in h2.entries[:, l]]

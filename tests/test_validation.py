@@ -3,6 +3,8 @@ module raises it, and no silent coercion of outside input."""
 
 import json
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -280,3 +282,48 @@ class TestNoSilentCoercion:
                "effect": 1, "replications": 2, "seed": 3}
         path.write_text(json.dumps(raw))
         assert StudyConfig.from_json(path).cases == harness.GeneratorSpec(3, 40, 16, 9)
+
+
+class TestCheckArms:
+    """Arm sizes pass through whole_numbers and are summed as Python ints."""
+
+    def test_sum_that_wraps_int64(self):
+        arms = [2**62, 2**62, 2**62, 2**62 + 800]
+        assert np.array(arms, dtype=np.int64).sum() == 800  # the int64 sum wraps
+        with pytest.raises(ValueError, match=r"^arm sizes must sum to 800, got \[4611686018427387904"):
+            _checks.check_arms(arms, 800, 4)
+        with pytest.raises(ValueError, match="^total unit count must not exceed 2\\^53"):
+            _checks.check_arms(arms)
+
+    def test_size_past_64_bits(self):
+        with pytest.raises(ValueError, match="^arm sizes: values must fit in 64 bits$"):
+            _checks.check_arms([2**70, 2, 2, 2], 800, 4)
+
+    def test_fractional_size_is_refused_not_truncated(self):
+        with pytest.raises(ValueError, match="^arm sizes: 10.5 is not a whole number$"):
+            _checks.check_arms([10.5, 9.5, 10, 10], 40, 4)
+
+    def test_without_a_total(self):
+        arms = _checks.check_arms([3.0, np.int32(4)])
+        assert arms.dtype == np.int64 and arms.tolist() == [3, 4]
+        with pytest.raises(ValueError, match="^arm sizes must form a vector"):
+            _checks.check_arms([[3, 4]])
+        with pytest.raises(ValueError, match="^every arm needs at least 2 units$"):
+            _checks.check_arms([3, 1])
+
+    def test_draw_refuses_a_wrapping_sum(self):
+        """np.repeat sums the sizes in int64, so a wrapping sum once reached
+        it and crashed the interpreter; run in a subprocess, where a crash
+        fails this test alone."""
+        code = (
+            "import numpy as np\n"
+            "from factorial2k import draw_assignment\n"
+            "arms = [2**62, 2**62, 2**62, 2**62 + 800]\n"
+            "try:\n"
+            "    draw_assignment(arms, [np.random.default_rng(0)])\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout.startswith("total unit count must not exceed 2^53")
