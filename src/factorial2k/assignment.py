@@ -225,8 +225,23 @@ def observe(table: PotentialTable, arm_of: np.ndarray) -> np.ndarray:
 
 def count_assignments(arms: np.ndarray) -> int:
     """Multinomial coefficient: number of distinct assignments."""
-    sizes = check_arms(arms).tolist()
-    return math.factorial(sum(sizes)) // math.prod(math.factorial(s) for s in sizes)
+    return _multinomial(check_arms(arms).tolist())
+
+
+def _multinomial(sizes: list[int], bound: float = math.inf) -> int:
+    """The multinomial coefficient of ``sizes``, or the first partial
+    product past ``bound``.  It is built one unit at a time as a product of
+    binomial coefficients, each partial product a whole number no smaller
+    than the last, so a large population stops early instead of taking
+    the factorial of N."""
+    total, placed = 1, 0
+    for size in sizes:
+        for i in range(1, size + 1):
+            placed += 1
+            total = total * placed // i
+            if total > bound:
+                return total
+    return total
 
 
 def enumerate_assignments(arms: np.ndarray) -> Iterator[np.ndarray]:
@@ -236,10 +251,10 @@ def enumerate_assignments(arms: np.ndarray) -> Iterator[np.ndarray]:
     when the multinomial coefficient exceeds ``MAX_ENUMERATION``.
     """
     sizes = check_arms(arms).tolist()
-    total = count_assignments(sizes)
-    if total > MAX_ENUMERATION:
+    if _multinomial(sizes, MAX_ENUMERATION) > MAX_ENUMERATION:
         raise ResourceLimitError(
-            f"{total} assignments exceed the enumeration bound {MAX_ENUMERATION}"
+            f"{sizes} arm sizes give more than {MAX_ENUMERATION} assignments, "
+            "the enumeration bound"
         )
     arm_of = np.empty(sum(sizes), dtype=np.int64)
 

@@ -23,8 +23,13 @@ A coverage study needs the interval of every replication of a case;
 sizes and differ only in their success counts, and each arm takes few
 distinct counts (about 34 per arm in 500 balanced replications), so each
 arm's Beta-Binomial law and its Fourier transform are built once per
-distinct count and gathered per dataset.  ``exact_interval`` is the
-call for one dataset.
+distinct count and gathered per dataset.  The J = 2^K laws are then
+convolved four at a time: floor(K/2) four-way stages, then one pairwise
+stage when K is odd, each one product of spectra and one inverse
+transform.  At K <= 2, as in every coverage study, that is one stage,
+whose spectra are the gathered ones, so a replication costs one product
+and one inverse FFT.
+``exact_interval`` is the call for one dataset.
 
 Before any transform, each arm's law loses the tail entries whose
 cumulative mass lies below ``TRIM`` times the tail probability its bound
@@ -53,9 +58,12 @@ from .design import IntervalReport, ModelMatrix, lattice_step
 # the tail probability each bound is compared with.
 TRIM = 1e-15
 
-# Cell budget of one row chunk of exact_bounds: rows x the padded lattice
-# size of the widest convolution stage.  A chunk holds a few arrays of
-# this many float64 cells (64 KiB each).
+# Cell budget of one row chunk of exact_bounds: rows x the laws x the
+# padded lattice size of the widest convolution stage.  A chunk holds a few
+# arrays of this many float64 cells (64 KiB each).  A balanced coverage
+# case has one four-way stage of 1,800 cells, so 4 rows a chunk; budgets
+# up to 2^16 ran it at most about 10% faster, and from 2^14 on they raised
+# the peak memory of a 4-case study by 1 MB or more.
 CHUNK_CELLS = 2**13
 
 
@@ -274,24 +282,31 @@ def _effect_laws(n, counts, signs, prior, cuts):
     ``offsets[r] + i`` has probability ``pmfs[r, i]``.
 
     Each arm's law is built, oriented, trimmed by ``cuts`` (see ``TRIM``)
-    and Fourier-transformed once per distinct count of that arm.  Laws are
-    then convolved pairwise in K stages (J = 2^K); each stage keeps its
-    laws zero past their widths in one padded array, so it takes one
-    forward and one inverse transform.  The first stage multiplies the
-    transforms gathered by each row's counts.  Rows go through the stages
-    ``CHUNK_CELLS`` cells at a time.
+    and Fourier-transformed once per distinct count of that arm, at the
+    size of the first stage.  The J = 2^K laws are then convolved in
+    floor(K/2) stages of four, then one of two when K is odd.  A stage
+    multiplies the spectra of each group of its laws, taken at its own
+    padded size, and makes one inverse transform; it keeps its laws zero
+    past their widths, so the next stage takes one forward transform of
+    them.  The first stage multiplies the spectra gathered by each row's
+    counts.  Rows go through the stages ``CHUNK_CELLS`` cells at a time.
     """
     n_units = int(n.sum())
     missing = n_units - n
     check_lattice(int(missing.sum()) + 1)
     offsets = counts @ signs - missing[signs < 0].sum()
-    # one sort finds every arm's distinct counts: arm j's lie in j (N + 1) + [0, N]
-    shift = (n_units + 1) * np.arange(n.size + 1)
-    distinct, inverse = np.unique(counts + shift[:-1], return_inverse=True)
-    first = np.searchsorted(distinct, shift)
-    index = inverse.reshape(counts.shape)  # row of each count's law among the distinct ones
+    # every arm's distinct counts, marked in one presence mask: arm j's
+    # observed range low_j..high_j from cell base_j on, at most N + J cells
+    low = counts.min(axis=0)
+    base = np.concatenate(([0], np.cumsum(counts.max(axis=0) - low + 1)))
+    codes = counts - low + base[:-1]
+    present = np.zeros(base[-1], dtype=bool)
+    present[codes] = True
+    distinct = np.flatnonzero(present)
+    index = np.searchsorted(distinct, codes)  # row of each count's law among the distinct ones
+    first = np.searchsorted(distinct, base)
     arm = np.repeat(np.arange(n.size), np.diff(first))
-    values = distinct - shift[arm]
+    values = distinct - base[arm] + low[arm]
     a, b = prior.alpha[arm] + values, prior.beta[arm] + n[arm] - values
     # where h_lj = -1 the law enters reversed: m_j - B_j ~ Beta-Binomial(m_j, b, a)
     a, b = np.where(signs[arm] > 0, a, b), np.where(signs[arm] > 0, b, a)
@@ -305,29 +320,35 @@ def _effect_laws(n, counts, signs, prior, cuts):
     for lo, hi, start, width in zip(*(v.tolist() for v in (first[:-1], first[1:], lead, widths))):
         windows[lo:hi, :width] = pmfs[lo:hi, start : start + width]
     del pmfs
-    stages = []  # per stage: padded size, and where each of its laws is within its width
-    while widths.size > 1:
-        widths = widths[0::2] + widths[1::2] - 1
+    # per stage: its fan-in, padded size, and where each of its laws is within its width
+    stages = []
+    k = n.size.bit_length() - 1
+    for fan_in in [4] * (k // 2) + [2] * (k % 2):
+        widths = widths.reshape(-1, fan_in).sum(axis=1) - (fan_in - 1)
         size = _fft_size(int(widths.max()))
-        stages.append((size, np.arange(size) < widths[:, None]))
-    spectra = np.fft.rfft(windows, stages[0][0])
+        stages.append((fan_in, size, np.arange(size) < widths[:, None]))
+    spectra = np.fft.rfft(windows, stages[0][1])
     del windows
-    chunk = max(1, CHUNK_CELLS // max(mask.size for _, mask in stages))
+    chunk = max(1, CHUNK_CELLS // max(mask.size for _, _, mask in stages))
     for start in range(0, len(counts), chunk):
         rows = slice(start, start + chunk)
-        product = spectra[index[rows, 0::2]]
-        product *= spectra[index[rows, 1::2]]
-        if start + chunk >= len(counts):
-            del spectra  # the last chunk has gathered its transforms
-        for stage, (size, mask) in enumerate(stages):
+        for stage, (fan_in, size, mask) in enumerate(stages):
+            if stage:  # the product overwrites the chunk's own transform of the laws
+                transform = np.fft.rfft(laws, size)
+                product = transform[:, 0::fan_in]
+                for i in range(1, fan_in):
+                    product *= transform[:, i::fan_in]
+                del transform
+            else:  # each row's arm spectra, gathered by its counts one factor at a time
+                product = spectra[index[rows, 0::fan_in]]
+                for i in range(1, fan_in):
+                    product *= spectra[index[rows, i::fan_in]]
+                if start + chunk >= len(counts):
+                    del spectra  # the last chunk has gathered its transforms
             laws = np.fft.irfft(product, size)
             del product  # products and transforms are the largest arrays here
             np.maximum(laws, 0.0, out=laws)  # round-off leaves tiny negatives in the tails
             laws *= mask  # past each law's width lies only round-off
-            if stage + 1 < len(stages):
-                transform = np.fft.rfft(laws, stages[stage + 1][0])
-                product = transform[:, 0::2] * transform[:, 1::2]
-                del transform
         yield rows, offsets[rows], laws[:, 0, : widths[0]]
 
 

@@ -301,13 +301,16 @@ def resolve_cases(config: StudyConfig) -> list[SimulationCase]:
     """Materialize the study's cases from the fixture or generator spec.
 
     Generated cases use the generator's own seed, so the same case set
-    can be replayed under different study seeds.
+    can be replayed under different study seeds.  The arm sizes are
+    checked before a fixture's rows are compared with their sum, so that a
+    fault in them is not blamed on the case file.
     """
     if isinstance(config.cases, GeneratorSpec):
         spec = config.cases
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
         return generate_cases(spec.n_cases, spec.total, spec.cells, rng)
-    return load_fixture_cases(config.cases, expected_total=int(sum(config.arms)))
+    check_arms(config.arms)
+    return load_fixture_cases(config.cases, expected_total=sum(config.arms))
 
 
 def _case_worker(args) -> list[CoverageReport]:

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -114,6 +117,21 @@ class TestEnumerateAssignments:
     def test_resource_limit(self):
         with pytest.raises(ResourceLimitError):
             list(enumerate_assignments(np.array([15, 15])))
+
+    def test_resource_limit_before_counting_every_assignment(self):
+        """2^20 units in two arms are refused at once, without the factorial
+        of N; run in a subprocess, so a hang fails this test alone."""
+        code = (
+            "from factorial2k import ResourceLimitError, enumerate_assignments\n"
+            "try:\n"
+            "    next(enumerate_assignments([2**19, 2**19]))\n"
+            "except ResourceLimitError as exc:\n"
+            "    print(exc)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=20, check=True
+        )
+        assert "more than 10000000 assignments" in done.stdout
 
 
 def block_assignment(arms, n_units, seed):

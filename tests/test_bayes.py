@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from factorial2k import ObservedData
+from factorial2k import ObservedData, bayes
 from factorial2k.bayes import (
+    CHUNK_CELLS,
     PriorSpec,
     credible_interval,
     draw_effect,
     draw_marginals,
+    exact_bounds,
     exact_interval,
     posterior_mean,
     posterior_variance,
@@ -257,15 +259,17 @@ def pmf_moments(obs, offset, pmf):
     return mean, pmf @ (values - mean) ** 2
 
 
-def random_datasets(seed, count=40):
+def random_prior(rng, k):
+    return PriorSpec(alpha=rng.uniform(0.2, 3.0, size=2**k), beta=rng.uniform(0.2, 3.0, size=2**k))
+
+
+def random_datasets(seed, count=40, k=None, max_n=40):
+    """Random datasets at the given K, or at K drawn from 1..3."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        k = int(rng.integers(1, 4))
-        obs = random_observed(rng, k=k, min_n=2, max_n=40)
-        prior = PriorSpec(
-            alpha=rng.uniform(0.2, 3.0, size=2**k), beta=rng.uniform(0.2, 3.0, size=2**k)
-        )
-        yield obs, build_model_matrix(k), prior
+        k_r = k or int(rng.integers(1, 4))
+        obs = random_observed(rng, k=k_r, min_n=2, max_n=max_n)
+        yield obs, build_model_matrix(k_r), random_prior(rng, k_r)
 
 
 class TestPredictivePmf:
@@ -276,7 +280,14 @@ class TestPredictivePmf:
             assert (pmf >= 0).all()
 
     def test_matches_lgamma_convolution(self, trial_obs, h2):
-        cases = [(trial_obs, h2, PriorSpec.uniform(4))] + list(random_datasets(30, count=10))
+        """Also at K = 4 (stages of 4 and 4 laws) and K = 5 (4, 4 and 2),
+        on small arms."""
+        cases = [
+            (trial_obs, h2, PriorSpec.uniform(4)),
+            *random_datasets(30, count=10),
+            *random_datasets(36, count=2, k=4, max_n=6),
+            *random_datasets(37, count=2, k=5, max_n=4),
+        ]
         for obs, matrix, prior in cases:
             for l in range(1, obs.n_arms):
                 offset, pmf = predictive_pmf(obs, matrix, l, prior)
@@ -354,6 +365,26 @@ class TestExactInterval:
         wide = exact_interval(trial_obs, h2, 2, prior, 0.95)
         narrow = exact_interval(trial_obs, h2, 2, prior, 0.50)
         assert wide.lower <= narrow.lower <= narrow.upper <= wide.upper
+
+
+class TestExactBounds:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("budget", [1, CHUNK_CELLS])
+    def test_rows_equal_their_exact_intervals(self, monkeypatch, k, budget):
+        """Each row of a batch gets the bounds of ``exact_interval`` on that
+        row alone, whichever chunk it falls in (one row per chunk at a
+        budget of 1)."""
+        monkeypatch.setattr(bayes, "CHUNK_CELLS", budget)
+        rng = np.random.default_rng(40 + k)
+        j = 2**k
+        n = rng.integers(2, 40 if k < 4 else 8, size=j)
+        counts = rng.binomial(n, rng.uniform(0.05, 0.95, size=j), size=(30, j))
+        matrix, prior = build_model_matrix(k), random_prior(rng, k)
+        for l in (1, j - 1):
+            lower, upper = exact_bounds(n, counts, matrix, l, prior, 0.9)
+            for row, bounds in zip(counts, zip(lower.tolist(), upper.tolist())):
+                report = exact_interval(ObservedData(k=k, n=n, n_obs=row), matrix, l, prior, 0.9)
+                assert (report.lower, report.upper) == bounds
 
 
 class TestTrimming:

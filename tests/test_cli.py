@@ -734,6 +734,19 @@ class TestSimulate:
         assert f"total unit count must not exceed 2^53, got {10**23}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_huge_arm_sizes_fail_before_the_fixture_rows(self, tmp_path, capsys):
+        """Arm sizes past 2^53 units are reported as such, not as fixture
+        rows that miss their (wrapped or huge) sum."""
+        arms = [2**62, 2**62, 2**62, 2**62 + 40]
+        config = write_toy_config(tmp_path, toy_rows(1), arms=arms)
+        out_csv, out_json = tmp_path / "c.csv", tmp_path / "c.json"
+        argv = ["simulate", "--config", str(config), "--out-csv", str(out_csv), "--out", str(out_json)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"total unit count must not exceed 2^53, got {sum(arms)}" in err
+        assert "cases.csv" not in err
+        assert not out_csv.exists() and not out_json.exists()
+
     def test_level_fails_before_the_cases(self, tmp_path, monkeypatch, capsys):
         def no_cases(config):
             raise AssertionError("resolved the cases")
