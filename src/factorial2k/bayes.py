@@ -13,23 +13,26 @@ and recombines with the observed successes:
 Integrating out pi_j instead leaves B_j ~ Beta-Binomial(N - n_j,
 alpha_j + n_j^obs, beta_j + n_j - n_j^obs), so tau_l has an exact law
 on a finite lattice (``predictive_pmf``); the commands read their
-interval off it (``exact_interval``).  The mean and variance of tau_l
+intervals off it (``exact_intervals``).  The mean and variance of tau_l
 also have closed forms (``posterior_mean`` / ``posterior_variance``);
 the draws, the exact law and the closed forms cross-validate each other
 in the test suite.
 
-A coverage study needs the interval of every replication of a case;
-``exact_bounds`` computes them in one call.  The datasets share arm
-sizes and differ only in their success counts, and each arm takes few
-distinct counts (about 34 per arm in 500 balanced replications), so each
-arm's Beta-Binomial law and its Fourier transform are built once per
-distinct count and gathered per dataset.  The J = 2^K laws are then
-convolved four at a time: floor(K/2) four-way stages, then one pairwise
-stage when K is odd, each one product of spectra and one inverse
-transform.  At K <= 2, as in every coverage study, that is one stage,
-whose spectra are the gathered ones, so a replication costs one product
-and one inverse FFT.
-``exact_interval`` is the call for one dataset.
+Every exact interval comes from one batched path, whose rows pair a
+dataset with the contrast signs of one effect.  ``exact_intervals``
+reads every requested effect of one dataset (``analyze``) from one
+batch; ``exact_bounds`` reads one effect of every replication of a
+coverage case; ``exact_interval`` is the call for one effect of one
+dataset.  The rows share arm sizes, and each arm takes few distinct
+(count, sign) pairs: at most two for the effects of one dataset, about
+34 counts under one sign in 500 balanced replications.  So each arm's
+Beta-Binomial law, oriented by the sign, and its Fourier transform are
+built once per distinct pair and gathered per row.  The J = 2^K laws of
+a row are then convolved four at a time: floor(K/2) four-way stages,
+then one pairwise stage when K is odd, each one product of spectra and
+one inverse transform.  At K <= 2, as in every coverage study and the
+bundled trial, that is one stage, whose spectra are the gathered ones,
+so a row costs one product and one inverse FFT.
 
 Before any transform, each arm's law loses the tail entries whose
 cumulative mass lies below ``TRIM`` times the tail probability its bound
@@ -66,10 +69,16 @@ TRIM = 1e-15
 # the peak memory of a 4-case study by 1 MB or more.
 CHUNK_CELLS = 2**13
 
+# Upper bound on a Beta hyperparameter.  The exact law's log-ratios multiply
+# (N - n_j) by n_j^obs + alpha_j and by N - n_j^obs + beta_j; for every lattice
+# that ``check_lattice`` admits (N - n_j < 2^25) these products then stay
+# below 4e307, inside the float64 range.  Any larger prior is refused.
+MAX_PRIOR = 1e300
+
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """Per-arm Beta hyperparameters, strictly positive."""
+    """Per-arm Beta hyperparameters, strictly positive and at most ``MAX_PRIOR``."""
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -86,6 +95,11 @@ class PriorSpec:
             )
         if (alpha <= 0).any() or (beta <= 0).any():
             raise ValueError("Beta hyperparameters must be strictly positive")
+        if (alpha > MAX_PRIOR).any() or (beta > MAX_PRIOR).any():
+            raise ValueError(
+                f"Beta prior hyperparameters must not exceed {MAX_PRIOR:g}, got "
+                f"alpha={alpha.tolist()}, beta={beta.tolist()}"
+            )
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         self.alpha.setflags(write=False)
@@ -136,10 +150,14 @@ def posterior_mean(obs: ObservedData, matrix: ModelMatrix, l: int, prior: PriorS
     check_matrix(matrix, obs.k)
     check_effect(l, obs.n_arms)
     _check_prior(obs.n_arms, prior)
-    n_prime = obs.n + prior.alpha + prior.beta
-    p_prime = (obs.n_obs + prior.alpha) / n_prime
-    contrib = obs.n_obs + (obs.n_units - obs.n) * p_prime
-    return float(lattice_step(obs.k, obs.n_units) * (matrix.entries[:, l] @ contrib))
+    totals = _mean_totals(obs, prior)
+    return float(lattice_step(obs.k, obs.n_units) * (matrix.entries[:, l] @ totals))
+
+
+def _mean_totals(obs: ObservedData, prior: PriorSpec) -> np.ndarray:
+    """Each arm's posterior predictive mean success total, n_j^obs + (N - n_j) p'_j."""
+    p_prime = (obs.n_obs + prior.alpha) / (obs.n + prior.alpha + prior.beta)
+    return obs.n_obs + (obs.n_units - obs.n) * p_prime
 
 
 def posterior_variance(obs: ObservedData, prior: PriorSpec) -> float:
@@ -233,113 +251,162 @@ def exact_bounds(
     check_level(level)
     check_effect(l, matrix.n_arms)
     _check_prior(matrix.n_arms, prior)
-    tails = ((1.0 - level) / 2.0, 1.0 - (1.0 + level) / 2.0)
-    lower = np.empty(len(counts), dtype=np.int64)
-    upper = np.empty(len(counts), dtype=np.int64)
-    for rows, offsets, pmfs in _effect_laws(
-        n, counts, matrix.entries[:, l], prior, (TRIM * tails[0], TRIM * tails[1])
-    ):
-        # CDF(i) >= q is tested as P(X <= i) >= q for the lower bound and as
-        # P(X > i) <= 1 - q for the upper one, each tail summed from its own
-        # end.  Every lattice point has positive mass, so q = 1.0 yields the
-        # support maximum, however round-off left the far entries.
-        lower[rows] = offsets + (np.cumsum(pmfs, axis=1) < tails[0]).sum(axis=1)
-        if tails[1] > 0.0:
-            at_least = np.cumsum(pmfs[:, ::-1], axis=1)[:, ::-1]  # P(X >= i)
-            upper[rows] = offsets + (at_least[:, 1:] > tails[1]).sum(axis=1)
-        else:
-            upper[rows] = offsets + pmfs.shape[1] - 1
+    lower, upper = _bounds(n, counts, matrix.entries[:, l], prior, level)
     step = lattice_step(matrix.k, int(n.sum()))
     return step * lower, step * upper
+
+
+def exact_intervals(
+    obs: ObservedData, matrix: ModelMatrix, effects: list[int], prior: PriorSpec, level: float
+) -> list[IntervalReport]:
+    """Equal-tailed posterior-predictive credible intervals for the effects
+    ``effects`` of one dataset, in the order given.
+
+    Each bound is an exact discrete quantile of the law that
+    :func:`predictive_pmf` gives: the smallest lattice value whose CDF is
+    at least (1 -/+ level) / 2.  All effects come from one batch, so each
+    arm's law is built once per sign it takes.  The points and the
+    variance are the closed forms.
+    """
+    check_matrix(matrix, obs.k)
+    check_level(level)
+    for l in effects:
+        check_effect(l, obs.n_arms)
+    _check_prior(obs.n_arms, prior)
+    signs = matrix.entries[:, list(effects)].T
+    lower, upper = _bounds(obs.n, obs.n_obs[None].repeat(len(signs), axis=0), signs, prior, level)
+    step = lattice_step(obs.k, obs.n_units)
+    totals, variance = _mean_totals(obs, prior), posterior_variance(obs, prior)
+    return [
+        IntervalReport(
+            effect=l,
+            point=float(step * (matrix.entries[:, l] @ totals)),
+            variance=variance,
+            lower=low,
+            upper=high,
+            level=level,
+            method="bayes-indep",
+        )
+        for l, low, high in zip(effects, (step * lower).tolist(), (step * upper).tolist())
+    ]
 
 
 def exact_interval(
     obs: ObservedData, matrix: ModelMatrix, l: int, prior: PriorSpec, level: float
 ) -> IntervalReport:
-    """Equal-tailed posterior-predictive credible interval for effect l.
+    """The interval of :func:`exact_intervals` for the one effect l."""
+    [report] = exact_intervals(obs, matrix, [l], prior, level)
+    return report
 
-    Each bound is an exact discrete quantile of the law that
-    :func:`predictive_pmf` gives: the smallest lattice value whose CDF is
-    at least (1 -/+ level) / 2.  It is the one-dataset call of
-    :func:`exact_bounds`.  The point and variance are the closed forms.
-    """
-    check_matrix(matrix, obs.k)
-    lower, upper = exact_bounds(obs.n, obs.n_obs[None], matrix, l, prior, level)
-    return IntervalReport(
-        effect=l,
-        point=posterior_mean(obs, matrix, l, prior),
-        variance=posterior_variance(obs, prior),
-        lower=float(lower[0]),
-        upper=float(upper[0]),
-        level=level,
-        method="bayes-indep",
-    )
+
+def _bounds(n, counts, signs, prior, level):
+    """Lattice indices of the exact bounds of each row of ``counts`` under
+    ``signs`` (see ``_effect_laws``), as two (R,) int64 arrays."""
+    tails = ((1.0 - level) / 2.0, 1.0 - (1.0 + level) / 2.0)
+    lower, upper = np.empty((2, len(counts)), dtype=np.int64)
+    if not len(counts):
+        return lower, upper
+    if tails[1] == 0.0:
+        # every lattice point has positive mass, so the bound is the top of the
+        # support, where B_j = N - n_j if h_j = +1 and B_j = 0 if h_j = -1
+        upper[:] = (counts * signs).sum(axis=1) + ((n.sum() - n) * (signs > 0)).sum(axis=-1)
+    for rows, offsets, pmfs in _effect_laws(
+        n, counts, signs, prior, (TRIM * tails[0], TRIM * tails[1])
+    ):
+        # CDF(i) >= q is tested as P(X <= i) >= q for the lower bound and as
+        # P(X > i) <= 1 - q for the upper one, each tail summed from its own
+        # end.  Past its support a row's law is 0, which neither test counts.
+        lower[rows] = offsets + (np.cumsum(pmfs, axis=1) < tails[0]).sum(axis=1)
+        if tails[1] > 0.0:
+            at_least = np.cumsum(pmfs[:, ::-1], axis=1)[:, ::-1]  # P(X >= i)
+            upper[rows] = offsets + (at_least[:, 1:] > tails[1]).sum(axis=1)
+    return lower, upper
 
 
 def _effect_laws(n, counts, signs, prior, cuts):
-    """Exact laws of sum_j h_lj (n_j^obs + B_j), one per row of ``counts``,
-    yielded in row chunks as ``(rows, offsets, pmfs)``: row r's value
-    ``offsets[r] + i`` has probability ``pmfs[r, i]``.
+    """Exact laws of sum_j h_rj (n_rj^obs + B_j), one per row r of the
+    (R, J) ``counts`` and of the contrast ``signs``: (R, J) too, or one (J,)
+    row that every dataset shares.  They are yielded in row chunks as
+    ``(rows, offsets, pmfs)``: row r's value ``offsets[r] + i`` has
+    probability ``pmfs[r, i]``, and 0 past its support.
 
     Each arm's law is built, oriented, trimmed by ``cuts`` (see ``TRIM``)
-    and Fourier-transformed once per distinct count of that arm, at the
-    size of the first stage.  The J = 2^K laws are then convolved in
+    and Fourier-transformed once per distinct (count, sign) of that arm, at
+    the size of the first stage.  The J = 2^K laws are then convolved in
     floor(K/2) stages of four, then one of two when K is odd.  A stage
     multiplies the spectra of each group of its laws, taken at its own
     padded size, and makes one inverse transform; it keeps its laws zero
     past their widths, so the next stage takes one forward transform of
     them.  The first stage multiplies the spectra gathered by each row's
-    counts.  Rows go through the stages ``CHUNK_CELLS`` cells at a time.
+    counts and signs.  Rows go through the stages ``CHUNK_CELLS`` cells at
+    a time.
     """
     n_units = int(n.sum())
     missing = n_units - n
     check_lattice(int(missing.sum()) + 1)
-    offsets = counts @ signs - missing[signs < 0].sum()
-    # every arm's distinct counts, marked in one presence mask: arm j's
-    # observed range low_j..high_j from cell base_j on, at most N + J cells
-    low = counts.min(axis=0)
-    base = np.concatenate(([0], np.cumsum(counts.max(axis=0) - low + 1)))
-    codes = counts - low + base[:-1]
+    # where h_j = -1 the law enters reversed: m_j - B_j ~ Beta-Binomial(m_j, b, a)
+    flipped = signs < 0
+    offsets = (counts * signs).sum(axis=1) - (missing * flipped).sum(axis=-1)
+    # every arm's distinct laws, marked in one presence mask: arm j keys a count
+    # c as c where h_j = +1 and as n_j + 1 + c where h_j = -1, and its keys
+    # low_j..high_j take the cells from base_j on, at most 2 (N + J) cells
+    keys = counts + flipped * (n + 1)
+    low = keys.min(axis=0)
+    base = np.concatenate(([0], np.cumsum(keys.max(axis=0) - low + 1)))
+    codes = keys - low + base[:-1]
     present = np.zeros(base[-1], dtype=bool)
     present[codes] = True
     distinct = np.flatnonzero(present)
-    index = np.searchsorted(distinct, codes)  # row of each count's law among the distinct ones
-    first = np.searchsorted(distinct, base)
-    arm = np.repeat(np.arange(n.size), np.diff(first))
-    values = distinct - base[arm] + low[arm]
+    index = np.searchsorted(distinct, codes)  # each row's law of each arm among the distinct ones
+    arm = np.searchsorted(base, distinct, side="right") - 1
+    keys = distinct - base[arm] + low[arm]
+    reverse = keys > n[arm]
+    values = keys - reverse * (n[arm] + 1)
     a, b = prior.alpha[arm] + values, prior.beta[arm] + n[arm] - values
-    # where h_lj = -1 the law enters reversed: m_j - B_j ~ Beta-Binomial(m_j, b, a)
-    a, b = np.where(signs[arm] > 0, a, b), np.where(signs[arm] > 0, b, a)
+    a, b = np.where(reverse, b, a), np.where(reverse, a, b)
     pmfs = _beta_binomial(missing[arm], a, b)
-    # per arm, the leading and trailing entries every one of its laws drops
-    lead = np.minimum.reduceat((np.cumsum(pmfs, axis=1) < cuts[0]).sum(axis=1), first[:-1])
-    trail = np.minimum.reduceat((np.cumsum(pmfs[:, ::-1], axis=1) < cuts[1]).sum(axis=1), first[:-1])
-    widths = np.minimum(missing + 1, pmfs.shape[1] - trail) - lead  # zero padding is no support
-    offsets += lead.sum()
-    windows = np.zeros((len(distinct), widths.max()))
-    for lo, hi, start, width in zip(*(v.tolist() for v in (first[:-1], first[1:], lead, widths))):
-        windows[lo:hi, :width] = pmfs[lo:hi, start : start + width]
-    del pmfs
-    # per stage: its fan-in, padded size, and where each of its laws is within its width
+    # per arm and sign (group 2j or 2j + 1), the leading and trailing entries
+    # every one of its laws drops
+    starts = np.searchsorted(2 * arm + reverse, np.arange(2 * n.size + 1))
+    used = np.flatnonzero(starts[1:] > starts[:-1])
+    first, ends = starts[used], starts[used + 1]  # group g's laws are rows first_g:ends_g
+    lead, trail = np.zeros((2, 2 * n.size), dtype=np.int64)
+    lead[used] = np.minimum.reduceat((np.cumsum(pmfs, axis=1) < cuts[0]).sum(axis=1), first)
+    trail[used] = np.minimum.reduceat(
+        (np.cumsum(pmfs[:, ::-1], axis=1) < cuts[1]).sum(axis=1), first
+    )
+    # zero padding is no support
+    widths = np.minimum(np.repeat(missing, 2) + 1, pmfs.shape[1] - trail) - lead
+    slots = 2 * np.arange(n.size) + flipped  # each row's group of each arm
+    offsets += lead[slots].sum(axis=-1)
+    spans = widths[slots].reshape(-1, n.size)  # one row, or one per dataset
+    # per stage: its fan-in, padded size, the widths of its laws, and where
+    # each law is within its width (rows with their own widths find it per chunk)
     stages = []
     k = n.size.bit_length() - 1
     for fan_in in [4] * (k // 2) + [2] * (k % 2):
-        widths = widths.reshape(-1, fan_in).sum(axis=1) - (fan_in - 1)
-        size = _fft_size(int(widths.max()))
-        stages.append((fan_in, size, np.arange(size) < widths[:, None]))
+        spans = spans.reshape(len(spans), -1, fan_in).sum(axis=2) - (fan_in - 1)
+        size = _fft_size(int(spans.max()))
+        mask = np.arange(size) < spans[:, :, None] if len(spans) == 1 else None
+        stages.append((fan_in, size, spans, mask))
+    top = int(spans.max())  # the widest law of effect values, zero past each row's width
+    windows = np.zeros((len(distinct), widths[used].max()))
+    for lo, hi, start, width in zip(*(v.tolist() for v in (first, ends, lead[used], widths[used]))):
+        windows[lo:hi, :width] = pmfs[lo:hi, start : start + width]
+    del pmfs
     spectra = np.fft.rfft(windows, stages[0][1])
     del windows
-    chunk = max(1, CHUNK_CELLS // max(mask.size for _, _, mask in stages))
+    chunk = max(1, CHUNK_CELLS // max(size * spans.shape[1] for _, size, spans, _ in stages))
     for start in range(0, len(counts), chunk):
         rows = slice(start, start + chunk)
-        for stage, (fan_in, size, mask) in enumerate(stages):
+        for stage, (fan_in, size, spans, mask) in enumerate(stages):
             if stage:  # the product overwrites the chunk's own transform of the laws
                 transform = np.fft.rfft(laws, size)
                 product = transform[:, 0::fan_in]
                 for i in range(1, fan_in):
                     product *= transform[:, i::fan_in]
                 del transform
-            else:  # each row's arm spectra, gathered by its counts one factor at a time
+            else:  # each row's arm spectra, gathered by its index one factor at a time
                 product = spectra[index[rows, 0::fan_in]]
                 for i in range(1, fan_in):
                     product *= spectra[index[rows, i::fan_in]]
@@ -348,8 +415,10 @@ def _effect_laws(n, counts, signs, prior, cuts):
             laws = np.fft.irfft(product, size)
             del product  # products and transforms are the largest arrays here
             np.maximum(laws, 0.0, out=laws)  # round-off leaves tiny negatives in the tails
+            if mask is None:
+                mask = np.arange(size) < spans[rows, :, None]
             laws *= mask  # past each law's width lies only round-off
-        yield rows, offsets[rows], laws[:, 0, : widths[0]]
+        yield rows, offsets[rows], laws[:, 0, :top]
 
 
 def _beta_binomial(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

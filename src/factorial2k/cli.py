@@ -218,9 +218,8 @@ def cmd_analyze(args) -> int:
     threads = _parse_threads(args.threads)
 
     rows = []
-    for l in effects:
+    for l, cred in zip(effects, bayes.exact_intervals(obs, matrix, effects, prior, args.level)):
         ney = neyman.confidence_interval(obs, matrix, l, args.level)
-        cred = bayes.exact_interval(obs, matrix, l, prior, args.level)
         row = {
             "effect": l,
             "neyman": _interval_dict(ney),

@@ -6,12 +6,14 @@ import pytest
 from factorial2k import ObservedData, bayes
 from factorial2k.bayes import (
     CHUNK_CELLS,
+    MAX_PRIOR,
     PriorSpec,
     credible_interval,
     draw_effect,
     draw_marginals,
     exact_bounds,
     exact_interval,
+    exact_intervals,
     posterior_mean,
     posterior_variance,
     posterior_variance_large_n,
@@ -57,6 +59,26 @@ class TestPriorSpec:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             PriorSpec(alpha=np.ones(4), beta=np.ones(3))
+
+    @pytest.mark.parametrize("huge", [1e307, float(np.nextafter(MAX_PRIOR, np.inf))])
+    def test_rejects_hyperparameters_past_the_bound(self, huge):
+        with pytest.raises(ValueError, match=r"must not exceed 1e\+300, got alpha=\[1.0, "):
+            PriorSpec(alpha=np.array([1.0, huge]), beta=np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match=r"must not exceed 1e\+300, got .*beta=\[1.0, "):
+            PriorSpec(alpha=np.array([1.0, 1.0]), beta=np.array([1.0, huge]))
+
+    @pytest.mark.parametrize("side", ["alpha", "beta"])
+    def test_prior_at_the_bound_gives_the_point_mass_at_the_mean(self, trial_obs, h2, side):
+        """A Beta(MAX_PRIOR, 1) prior (or Beta(1, MAX_PRIOR)) makes every
+        missing outcome a success (a failure): tau_l is the one lattice value
+        at its mean, and building its law must not overflow (warnings are
+        errors here)."""
+        huge = np.full(4, MAX_PRIOR)
+        prior = PriorSpec(alpha=huge, beta=np.ones(4)) if side == "alpha" else PriorSpec(
+            alpha=np.ones(4), beta=huge
+        )
+        for report in exact_intervals(trial_obs, h2, [1, 2, 3], prior, 0.95):
+            assert report.lower == report.upper == pytest.approx(report.point, abs=1e-12)
 
 
 class TestDrawMarginals:
@@ -385,6 +407,89 @@ class TestExactBounds:
             for row, bounds in zip(counts, zip(lower.tolist(), upper.tolist())):
                 report = exact_interval(ObservedData(k=k, n=n, n_obs=row), matrix, l, prior, 0.9)
                 assert (report.lower, report.upper) == bounds
+
+
+class TestExactIntervals:
+    """Every effect of one dataset from one batch, in the order given: the
+    same bounds as one ``exact_interval`` call per effect, and as the
+    quantiles of the untrimmed ``predictive_pmf``, at every chunk budget."""
+
+    TOP = float(np.nextafter(1.0, 0.0))  # its upper tail (1 - (1 + level) / 2) rounds to 0
+    LEVELS = (0.5, 0.95, 0.999, 1.0 - 1e-9, TOP)
+
+    @staticmethod
+    def datasets():
+        yield from random_datasets(50, count=12, max_n=40)  # K = 1..3
+        yield from random_datasets(51, count=3, k=4, max_n=8)
+        yield from random_datasets(52, count=2, k=5, max_n=5)
+
+    def check(self, obs, matrix, effects, prior, level):
+        """At TOP only the upper bound is checked, against the support
+        maximum: a lower tail of 6e-17 lies below the round-off of the
+        convolution, so no computation pins that bound."""
+        reports = exact_intervals(obs, matrix, effects, prior, level)
+        assert [r.effect for r in reports] == effects
+        step = lattice_step(obs.k, obs.n_units)
+        for l, report in zip(effects, reports):
+            single = exact_interval(obs, matrix, l, prior, level)
+            offset, pmf = predictive_pmf(obs, matrix, l, prior)
+            if level == self.TOP:
+                assert report.upper == single.upper == step * (offset + pmf.size - 1)
+            else:
+                assert report == single
+                assert (report.lower, report.upper) == pmf_quantiles(offset, pmf, step, level)
+
+    @pytest.mark.parametrize("budget", [1, CHUNK_CELLS])
+    def test_all_effects_equal_single_calls_and_untrimmed_quantiles(self, monkeypatch, budget):
+        monkeypatch.setattr(bayes, "CHUNK_CELLS", budget)
+        for obs, matrix, prior in self.datasets():
+            for level in self.LEVELS:
+                self.check(obs, matrix, list(range(1, obs.n_arms)), prior, level)
+
+    @pytest.mark.parametrize("budget", [1, CHUNK_CELLS])
+    def test_effects_out_of_order(self, monkeypatch, trial_obs, h2, budget):
+        monkeypatch.setattr(bayes, "CHUNK_CELLS", budget)
+        datasets = [(trial_obs, h2, PriorSpec.uniform(4)), *random_datasets(53, count=5, k=3)]
+        for obs, matrix, prior in datasets:
+            for level in self.LEVELS:
+                self.check(obs, matrix, [3, 1], prior, level)
+
+    def test_bounds_of_one_effect_for_many_datasets(self):
+        """``exact_bounds`` shares one sign row among its datasets; it too
+        gives the untrimmed quantiles at every level."""
+        rng = np.random.default_rng(54)
+        for k in (1, 2, 3):
+            j = 2**k
+            n = rng.integers(2, 30, size=j)
+            counts = rng.binomial(n, rng.uniform(0.05, 0.95, size=j), size=(12, j))
+            matrix, prior, step = build_model_matrix(k), random_prior(rng, k), lattice_step(k, n.sum())
+            for level in self.LEVELS:
+                lower, upper = exact_bounds(n, counts, matrix, j - 1, prior, level)
+                for row, low, high in zip(counts, lower.tolist(), upper.tolist()):
+                    obs = ObservedData(k=k, n=n, n_obs=row)
+                    offset, pmf = predictive_pmf(obs, matrix, j - 1, prior)
+                    if level == self.TOP:
+                        assert high == step * (offset + pmf.size - 1)
+                    else:
+                        assert (low, high) == pmf_quantiles(offset, pmf, step, level)
+
+    def test_points_and_variance_are_the_closed_forms(self):
+        for obs, matrix, prior in self.datasets():
+            effects = list(range(obs.n_arms - 1, 0, -1))
+            for l, report in zip(effects, exact_intervals(obs, matrix, effects, prior, 0.9)):
+                assert report.point == posterior_mean(obs, matrix, l, prior)
+                assert report.variance == posterior_variance(obs, prior)
+                assert (report.level, report.method, report.mc_draws) == (0.9, "bayes-indep", None)
+
+    def test_checks_every_effect(self, trial_obs, h2):
+        with pytest.raises(ValueError, match=r"^effect index 4 outside 1..3$"):
+            exact_intervals(trial_obs, h2, [1, 4], PriorSpec.uniform(4), 0.95)
+
+    def test_no_rows_give_no_bounds(self, trial_obs, h2):
+        prior = PriorSpec.uniform(4)
+        assert exact_intervals(trial_obs, h2, [], prior, 0.95) == []
+        lower, upper = exact_bounds(trial_obs.n, np.zeros((0, 4), dtype=np.int64), h2, 1, prior, 0.95)
+        assert lower.shape == upper.shape == (0,)
 
 
 class TestTrimming:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -109,6 +110,43 @@ class TestAnalyze:
         cp = run_cli("analyze", "--input", path, "--seed", "1")
         assert cp.returncode == 2
         assert "n_obs" in cp.stderr
+
+
+class TestAnalyzeBytes:
+    """Pins the ``analyze`` JSON at seed 7 to the bytes it had when each
+    effect's exact interval came from its own call; only a change in how
+    random numbers are consumed may change them.  Each output is pinned by
+    its SHA-256 digest and length."""
+
+    K3 = {"K": 3, "n": [54, 27, 21, 45, 34, 38, 23, 34], "n_obs": [21, 19, 18, 12, 22, 11, 22, 31]}
+    CASES = {
+        "trial-all": (
+            ["--effects", "all"],
+            1572, "a143ab4888b1627ab609eb8dc8fe9eac8fcc48857a85b0f68921ec5bc83e1eb0",
+        ),
+        "trial-3,1-sweep": (
+            ["--effects", "3,1", "--rho-grid", "0:0.2:0.1", "--sweep-draws", "1000"],
+            2609, "da5b0350902f1de6b1603b7c94887c4eabf9b5778b31d21b8590e69783d011ae",
+        ),
+        "k3-all": (
+            None, 2799, "b94414100c56a8b604f57fc4d580d738e4c7311c89c779dcc9a14952f0efda31",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_json_bytes(self, tmp_path, case):
+        extra, length, digest = self.CASES[case]
+        if extra is None:
+            source = tmp_path / "k3.json"
+            source.write_text(json.dumps(self.K3))
+            extra = []
+        else:
+            source = AHLUWALIA
+        out = tmp_path / "report.json"
+        argv = ["analyze", "--input", str(source), "--seed", "7", "--threads", "1"]
+        assert cli.main([*argv, "--out", str(out), *extra]) == 0
+        blob = out.read_bytes()
+        assert (len(blob), hashlib.sha256(blob).hexdigest()) == (length, digest), blob.decode()
 
 
 class TestSensitivity:
@@ -237,6 +275,16 @@ class TestInputValidation:
             argv = ["analyze", "--input", str(AHLUWALIA), "--seed", "1", f"{flag}={value}"]
             assert cli.main(argv) == 2
             assert "Beta prior hyperparameters must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    def test_prior_past_the_bound(self, capsys, flag):
+        """Past 1e300 the exact law's float64 products would overflow; the
+        prior is refused before any interval is computed."""
+        argv = ["analyze", "--input", str(AHLUWALIA), "--seed", "1", "--effects", "1"]
+        assert cli.main([*argv, flag, "1e307"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Beta prior hyperparameters must not exceed 1e+300" in captured.err
 
     def test_non_finite_gamma_matrix(self, tmp_path, capsys):
         gamma = tmp_path / "gamma.csv"
@@ -508,7 +556,7 @@ class TestResourceLimits:
         def exhausted(*args, **kwargs):
             raise MemoryError("simulated allocation failure")
 
-        monkeypatch.setattr(bayes, "exact_interval", exhausted)
+        monkeypatch.setattr(bayes, "exact_intervals", exhausted)
         assert cli.main(["analyze", "--input", str(AHLUWALIA), "--seed", "1"]) == 3
         assert "simulated allocation failure" in capsys.readouterr().err
 
