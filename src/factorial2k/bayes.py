@@ -36,12 +36,23 @@ so a row costs one product and one inverse FFT.
 
 Before any transform, each arm's law loses the tail entries whose
 cumulative mass lies below ``TRIM`` times the tail probability its bound
-is compared with.  That moves any CDF value of tau_l by at most J * TRIM
-times those probabilities, less than the round-off of the convolution
-itself, so a bound moves only if the untrimmed CDF is that close to its
-threshold; the test suite finds no such case in 3,000 random datasets.
-A tail probability that rounds to 0 trims nothing, and puts its bound
-at the edge of the support.  ``predictive_pmf`` trims nothing.
+is compared with.  At K <= 2, in a call with at least as many rows as
+arms (a coverage case, not one dataset's effects), the one stage then
+convolves on a circle rather than over the whole trimmed support: a
+Chernoff bound on each row's untrimmed law sizes a window that leaves
+out less than that same cut at each end, and each arm's law is placed
+on the circle so that the window's cells come out of the inverse
+transform in order.  Mass beyond the window wraps onto it.  For a
+balanced coverage case the window is 864 cells where the linear stage
+takes 1,800.  Where the window would be no smaller, the stage keeps the
+linear layout.  Trim and window together move any CDF value of tau_l by
+at most (J + 1) * TRIM times those probabilities, less than the
+round-off of the convolution itself, so a bound moves only if the
+untrimmed CDF is that close to its threshold; the test suite finds no
+such case in 3,000 random datasets, nor on windows over 300 more.
+A tail probability that rounds to 0 trims nothing at its end, and puts
+its bound at the edge of the support.  ``predictive_pmf`` trims nothing
+and uses no window.
 """
 
 from __future__ import annotations
@@ -50,7 +61,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_draws, check_effect, check_lattice, check_level, check_matrix
+from ._checks import (
+    check_arms,
+    check_counts,
+    check_draws,
+    check_effect,
+    check_lattice,
+    check_level,
+    check_matrix,
+)
 from .assignment import ObservedData
 from .design import IntervalReport, ModelMatrix, lattice_step
 
@@ -58,13 +77,15 @@ from .design import IntervalReport, ModelMatrix, lattice_step
 # pmf, oriented by the sign of its contrast, drops its leading entries
 # whose cumulative mass is below TRIM * (1 - level) / 2 and its trailing
 # entries below TRIM * (1 - (1 + level) / 2): mass a factor 1e15 below
-# the tail probability each bound is compared with.
+# the tail probability each bound is compared with.  At K <= 2 the
+# circular window of the convolution leaves out less than the same cuts.
 TRIM = 1e-15
 
 # Cell budget of one row chunk of exact_bounds: rows x the laws x the
 # padded lattice size of the widest convolution stage.  A chunk holds a few
 # arrays of this many float64 cells (64 KiB each).  A balanced coverage
-# case has one four-way stage of 1,800 cells, so 4 rows a chunk; budgets
+# case has one four-way stage on a circular window of 864 cells, so 9 rows
+# a chunk.  With the linear stage of 1,800 cells (4 rows a chunk), budgets
 # up to 2^16 ran it at most about 10% faster, and from 2^14 on they raised
 # the peak memory of a 4-case study by 1 MB or more.
 CHUNK_CELLS = 2**13
@@ -251,6 +272,8 @@ def exact_bounds(
     check_level(level)
     check_effect(l, matrix.n_arms)
     _check_prior(matrix.n_arms, prior)
+    n = check_arms(n, n_arms=matrix.n_arms)
+    counts = check_counts(counts, n)
     lower, upper = _bounds(n, counts, matrix.entries[:, l], prior, level)
     step = lattice_step(matrix.k, int(n.sum()))
     return step * lower, step * upper
@@ -339,11 +362,15 @@ def _effect_laws(n, counts, signs, prior, cuts):
     past their widths, so the next stage takes one forward transform of
     them.  The first stage multiplies the spectra gathered by each row's
     counts and signs.  Rows go through the stages ``CHUNK_CELLS`` cells at
-    a time.
+    a time.  When there is one stage and there are no fewer rows than
+    arms, it runs on the circular window of ``_window`` if that is
+    smaller: each row's ``pmfs`` then cover the window, its far tails
+    wrapped onto it.
     """
     n_units = int(n.sum())
     missing = n_units - n
-    check_lattice(int(missing.sum()) + 1)
+    points = int(missing.sum()) + 1  # the values of each row's sum
+    check_lattice(points)
     # where h_j = -1 the law enters reversed: m_j - B_j ~ Beta-Binomial(m_j, b, a)
     flipped = signs < 0
     offsets = (counts * signs).sum(axis=1) - (missing * flipped).sum(axis=-1)
@@ -381,7 +408,8 @@ def _effect_laws(n, counts, signs, prior, cuts):
     offsets += lead[slots].sum(axis=-1)
     spans = widths[slots].reshape(-1, n.size)  # one row, or one per dataset
     # per stage: its fan-in, padded size, the widths of its laws, and where
-    # each law is within its width (rows with their own widths find it per chunk)
+    # each law is within its width (rows with their own widths or windows find
+    # it per chunk)
     stages = []
     k = n.size.bit_length() - 1
     for fan_in in [4] * (k // 2) + [2] * (k % 2):
@@ -393,7 +421,19 @@ def _effect_laws(n, counts, signs, prior, cuts):
     windows = np.zeros((len(distinct), widths[used].max()))
     for lo, hi, start, width in zip(*(v.tolist() for v in (first, ends, lead[used], widths[used]))):
         windows[lo:hi, :width] = pmfs[lo:hi, start : start + width]
+    # one stage may run on a circular window, unless the call has fewer rows
+    # than arms: sizing the window costs about what it saves on 3 or 4 rows,
+    # and one dataset's effects (analyze) are fewer rows than arms.  starts:
+    # each row's value at cell 0, counted as its trimmed support counts it
+    window, starts = None, None
+    if len(stages) == 1 and len(counts) >= n.size:
+        window = _window(pmfs, lead[2 * arm + reverse], arm, index, points, cuts, size)
     del pmfs
+    if window is not None:  # one stage, on a circular window of each row's law
+        top, shifts, starts = window
+        offsets += starts
+        stages = [(fan_in, top, spans, None)]
+        windows = _wrap(windows, shifts, top)
     spectra = np.fft.rfft(windows, stages[0][1])
     del windows
     chunk = max(1, CHUNK_CELLS // max(size * spans.shape[1] for _, size, spans, _ in stages))
@@ -415,10 +455,74 @@ def _effect_laws(n, counts, signs, prior, cuts):
             laws = np.fft.irfft(product, size)
             del product  # products and transforms are the largest arrays here
             np.maximum(laws, 0.0, out=laws)  # round-off leaves tiny negatives in the tails
-            if mask is None:
-                mask = np.arange(size) < spans[rows, :, None]
-            laws *= mask  # past each law's width lies only round-off
+            if mask is None:  # rows of their own widths, or windows of their own starts
+                row_spans = spans if len(spans) == 1 else spans[rows]
+                if starts is None:
+                    mask = np.arange(size) < row_spans[:, :, None]
+                else:
+                    cells = np.arange(size) + starts[rows, None, None]
+                    mask = (cells >= 0) & (cells < row_spans[:, :, None])
+            laws *= mask  # past each law's support lies only round-off
         yield rows, offsets[rows], laws[:, 0, :top]
+
+
+def _window(pmfs, leads, arm, index, support, cuts, linear_size):
+    """A circular window that holds each row's law but for less than
+    ``cuts`` of its untrimmed mass at each end, or None where it would not
+    be smaller than ``linear_size``: ``(size, shifts, starts)``.
+
+    Row r takes the distinct law ``index[r, j]`` of arm j.  Law l has the
+    untrimmed probabilities ``pmfs[l]`` at x = 0, 1, ..., whose trimmed
+    window starts at ``leads[l]``, a rounded mean c_l and a log-MGF
+    L_l(theta) about c_l.  A row's sum X of the x takes the values
+    0..``support`` - 1, and with C the sum of its c_l the Chernoff bound
+    puts at most exp(sum_j L_j(theta) - theta t) of its mass at X >= C + t,
+    and likewise below; the trimmed laws, which never exceed the untrimmed
+    ones, have no more.  So each row keeps all but less than the cut at
+    each end in the values C - h .. C - h + size - 1, which the inverse
+    transform gives in cells 0..size - 1 once entry x of law l sits in
+    cell (x - c_l + s_j) mod size, where the s_j of a row's arms sum to h
+    (s_0 = h, every other s_j = 0).  ``shifts`` are where each trimmed
+    window's first entry goes, and ``starts`` are each row's C - h minus
+    the sum of its leads: the value of cell 0 counted as the trimmed
+    supports count it.
+    """
+    x = np.arange(pmfs.shape[1])
+    centers = np.rint(pmfs @ x).astype(np.int64)
+    # a geometric grid, theta * x within 256 of 0: far from exp's overflow at 709
+    theta = 256.0 / max(x[-1], 1) * 2.0 ** (-np.arange(17) / 2.0)
+    theta = np.concatenate((theta, -theta))  # the upper end, then the lower end
+    log_mgf = np.log(pmfs @ np.exp(np.multiply.outer(x, theta)))
+    log_mgf -= np.multiply.outer(centers, theta)
+    with np.errstate(divide="ignore"):  # a cut of 0 leaves the whole support
+        log_cuts = np.log(np.repeat(cuts[::-1], len(theta) // 2))
+    # the least t with exp(sum_j L_j(theta) - |theta| t) < cut, at the best theta
+    reach = (np.floor((log_mgf[index].sum(axis=1) - log_cuts) / np.abs(theta)) + 1).reshape(
+        len(index), 2, -1
+    ).min(axis=2)
+    row_centers = centers[index].sum(axis=1)
+    low = int(np.minimum(reach[:, 1] - 1, row_centers).max())
+    high = int(np.minimum(reach[:, 0], support - row_centers).max())
+    size = _fft_size(low + high)
+    if size >= linear_size:
+        return None
+    shifts = leads - centers + np.where(arm == 0, low, 0)
+    return size, shifts, row_centers - low - leads[index].sum(axis=1)
+
+
+def _wrap(windows, shifts, size):
+    """Each row of ``windows`` shifted by ``shifts`` and wrapped onto
+    ``size`` cells: entry x of row l lands in cell (x + shifts[l]) mod size."""
+    if windows.shape[1] > size:  # fold the law onto the circle first
+        windows = np.pad(windows, ((0, 0), (0, -windows.shape[1] % size)))
+        windows = windows.reshape(len(windows), -1, size).sum(axis=1)
+    width = windows.shape[1]
+    wrapped = np.zeros((len(windows), size))
+    for row, law, shift in zip(wrapped, windows, (shifts % size).tolist()):
+        split = min(width, size - shift)  # the entries that land before the end
+        row[shift : shift + split] = law[:split]
+        row[: width - split] = law[split:]
+    return wrapped
 
 
 def _beta_binomial(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

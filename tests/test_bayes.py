@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,9 +21,14 @@ from factorial2k.bayes import (
     predictive_pmf,
     TRIM,
     _effect_laws,
+    _wrap,
 )
+from factorial2k.assignment import ChildStreams, draw_assignment, observe
+from factorial2k.data import data_path
 from factorial2k.design import build_model_matrix, lattice_step
+from factorial2k.harness import StudyConfig, resolve_cases
 from factorial2k.neyman import point_estimate, variance_estimate
+from factorial2k.population import from_cell_counts
 
 from helpers import pmf_quantiles, random_observed
 
@@ -407,6 +413,142 @@ class TestExactBounds:
             for row, bounds in zip(counts, zip(lower.tolist(), upper.tolist())):
                 report = exact_interval(ObservedData(k=k, n=n, n_obs=row), matrix, l, prior, 0.9)
                 assert (report.lower, report.upper) == bounds
+
+    @pytest.mark.parametrize("bad", [11, -1])
+    def test_rejects_counts_outside_their_arms(self, h2, bad):
+        n, counts = np.full(4, 10), np.array([[1, 2, 3, 4], [5, 6, bad, 7], [bad, 0, 0, 0]])
+        with pytest.raises(ValueError, match=rf"^success counts: row 1 is \[5, 6, {bad}, 7\]; "):
+            exact_bounds(n, counts, h2, 1, PriorSpec.uniform(4), 0.95)
+
+    def test_rejects_a_wrong_arm_count(self, h2):
+        prior = PriorSpec.uniform(4)
+        with pytest.raises(ValueError, match=r"^expected 4 arm sizes, got 3$"):
+            exact_bounds(np.full(3, 10), np.ones((2, 3), dtype=int), h2, 1, prior, 0.95)
+        for counts in (np.ones((2, 3), dtype=int), np.ones(4, dtype=int)):
+            message = f"success counts must form an (R, 4) array, got shape {counts.shape}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                exact_bounds(np.full(4, 10), counts, h2, 1, prior, 0.95)
+
+    def test_float_counts_must_be_whole(self, h2):
+        n, prior = np.full(4, 10), PriorSpec.uniform(4)
+        counts = np.array([[1, 2, 3, 4], [5, 6, 7, 8]])
+        for bad in (2.5, float("nan"), float("inf")):
+            floats = counts.astype(float)
+            floats[1, 2] = bad
+            with pytest.raises(ValueError, match=r"^success counts: row 1 is \[5.0, 6.0, "):
+                exact_bounds(n, floats, h2, 1, prior, 0.95)
+        whole = exact_bounds(n, counts.astype(float), h2, 1, prior, 0.95)
+        ints = exact_bounds(n, counts, h2, 1, prior, 0.95)
+        assert [b.tolist() for b in whole] == [b.tolist() for b in ints]
+        with pytest.raises(ValueError, match=r"^success counts must be numbers, got dtype bool$"):
+            exact_bounds(n, counts > 2, h2, 1, prior, 0.95)
+
+
+class TestCircularWindow:
+    """At K <= 2, in a call with no fewer rows than arms, each row's law is
+    read off a circular window that holds all but less than the cut of its
+    mass at each end (see ``_window``)."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record what ``_window`` gets and gives."""
+        calls, window = [], bayes._window
+
+        def recorded(*args):
+            calls.append((args, window(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(bayes, "_window", recorded)
+        return calls
+
+    @pytest.mark.parametrize("study", ["study_balanced.json", "study_imbalanced.json"])
+    def test_coverage_scale_bounds_are_the_untrimmed_quantiles(self, monkeypatch, study):
+        """The first 50 replications of the study's first case (N = 800),
+        as ``coverage_experiment`` draws them, at every effect; the window
+        is narrower than the laws of the linear layout."""
+        config = StudyConfig.from_json(data_path(study))
+        case, arms = resolve_cases(config)[0], np.array(config.arms)
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(case.case_id,)))
+        streams = ChildStreams(rng.bit_generator.seed_seq).streams(0, 50)
+        counts = observe(from_cell_counts(case.counts), draw_assignment(arms, streams))
+        matrix, prior, step = build_model_matrix(2), PriorSpec.uniform(4), lattice_step(2, 800)
+        level = config.level
+        cuts = (TRIM * (1.0 - level) / 2.0, TRIM * (1.0 - (1.0 + level) / 2.0))
+        for l in (1, 2, 3):
+            lower, upper = exact_bounds(arms, counts, matrix, l, prior, level)
+            for row, low, high in zip(counts, lower.tolist(), upper.tolist()):
+                offset, pmf = predictive_pmf(ObservedData(k=2, n=arms, n_obs=row), matrix, l, prior)
+                assert (low, high) == pmf_quantiles(offset, pmf, step, level)
+            def widths():
+                laws = _effect_laws(arms, counts, matrix.entries[:, l], prior, cuts)
+                return [law.shape[1] for _, _, law in laws]
+
+            windows = widths()
+            with monkeypatch.context() as linear:
+                linear.setattr(bayes, "_window", lambda *args: None)
+                supports = widths()
+            assert max(windows) < min(supports)
+
+    def test_untrimmed_mass_outside_the_window_is_below_the_cut(self, monkeypatch):
+        """On random K <= 2 datasets, each as a batch of J copies (a window
+        is sized for no fewer rows than arms); the batch also gets the
+        untrimmed quantiles."""
+        rng = np.random.default_rng(60)
+        calls, active = self.spy(monkeypatch), 0
+        for _ in range(300):
+            k = int(rng.integers(1, 3))
+            j = 2**k
+            n = rng.integers(2, 401, size=j)
+            obs = ObservedData(k=k, n=n, n_obs=rng.binomial(n, rng.uniform(0.0, 1.0, size=j)))
+            alpha, beta = np.exp(rng.uniform(math.log(0.05), math.log(5.0), size=(2, j)))
+            prior, l = PriorSpec(alpha=alpha, beta=beta), int(rng.integers(1, j))
+            level = float(rng.choice([0.5, 0.95, 0.999, 1.0 - 1e-9, rng.uniform(0.5, 1.0 - 1e-9)]))
+            cuts = (TRIM * (1.0 - level) / 2.0, TRIM * (1.0 - (1.0 + level) / 2.0))
+            matrix, copies = build_model_matrix(k), obs.n_obs[None].repeat(j, axis=0)
+            [(_, starts, laws)] = _effect_laws(n, copies, matrix.entries[:, l], prior, cuts)
+            if calls[-1][1] is None:
+                continue
+            active += 1
+            # by direct convolution: the FFT's round-off in predictive_pmf is
+            # about 1e-18 a cell, which adds up past the smaller cuts
+            offset, pmf = lgamma_effect_pmf(obs, matrix, l, prior)
+            below = pmf[: max(starts[0] - offset, 0)]
+            above = pmf[max(starts[0] + laws.shape[1] - offset, 0) :]
+            assert math.fsum(below) <= cuts[0]
+            assert math.fsum(above) <= cuts[1]
+            lower, upper = exact_bounds(n, copies, matrix, l, prior, level)
+            offset, pmf = predictive_pmf(obs, matrix, l, prior)
+            expected = pmf_quantiles(offset, pmf, lattice_step(k, obs.n_units), level)
+            assert set(zip(lower.tolist(), upper.tolist())) == {expected}
+        assert active > 200  # the window is not idle on these datasets
+
+    def test_rows_of_their_own_signs(self, monkeypatch):
+        """Effects asked for twice make one dataset's batch as long as its
+        arms: a window over rows of their own signs and supports."""
+        calls = self.spy(monkeypatch)
+        for obs, matrix, prior in random_datasets(63, count=20, k=2, max_n=300):
+            effects = [3, 1, 2, 2, 1, 3]
+            step = lattice_step(2, obs.n_units)
+            for l, report in zip(effects, exact_intervals(obs, matrix, effects, prior, 0.95)):
+                offset, pmf = predictive_pmf(obs, matrix, l, prior)
+                assert (report.lower, report.upper) == pmf_quantiles(offset, pmf, step, 0.95)
+        assert sum(window is not None for _, window in calls) > 15
+
+    def test_wrap_folds_laws_wider_than_the_circle(self):
+        rng = np.random.default_rng(61)
+        windows, shifts = rng.random((5, 23)), rng.integers(-30, 30, size=5)
+        for size in (7, 23, 40):
+            expected = np.zeros((5, size))
+            for law, row, shift in zip(windows, expected, shifts):
+                np.add.at(row, (np.arange(23) + shift) % size, law)
+            np.testing.assert_allclose(_wrap(windows, shifts, size), expected, rtol=1e-15)
+
+    def test_linear_stages_at_high_k_and_for_fewer_rows_than_arms(self, monkeypatch, trial_obs, h2):
+        calls = self.spy(monkeypatch)
+        for obs, matrix, prior in random_datasets(62, count=3, k=3):
+            exact_bounds(obs.n, obs.n_obs[None].repeat(10, axis=0), matrix, 1, prior, 0.95)
+        exact_intervals(trial_obs, h2, [1, 2, 3], PriorSpec.uniform(4), 0.95)
+        assert not calls
 
 
 class TestExactIntervals:

@@ -532,6 +532,28 @@ class TestReplicationContract:
         run_study(config, threads=threads).write_csv(tmp_path / "coverage.csv")
         assert (tmp_path / "coverage.csv").read_bytes() == self.EXPECTED
 
+    # the first 3 generated cases of the bundled imbalanced study, 50
+    # replications, both methods: bytes written before the exact bounds were
+    # read off a circular window
+    IMBALANCED = (
+        b"case_id,method,coverage,mean_width\r\n"
+        b"1,bayes-indep,0.92,0.12275\r\n"
+        b"1,neyman,0.94,0.1416608820883572\r\n"
+        b"2,bayes-indep,0.92,0.12151250000000001\r\n"
+        b"2,neyman,0.94,0.14029028214809933\r\n"
+        b"3,bayes-indep,0.92,0.12380000000000001\r\n"
+        b"3,neyman,0.94,0.14303033836827175\r\n"
+    )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_imbalanced_csv_bytes(self, tmp_path, threads):
+        config = StudyConfig(
+            cases=GeneratorSpec(n_cases=3, total=800, cells=16, seed=4207),
+            arms=(150, 150, 250, 250), effect=1, replications=50, seed=9146,
+        )
+        run_study(config, threads=threads).write_csv(tmp_path / "coverage.csv")
+        assert (tmp_path / "coverage.csv").read_bytes() == self.IMBALANCED
+
 
 class TestImbalancedStudy:
     def test_bundled_imbalanced_config(self):
