@@ -10,13 +10,12 @@ coverage simulation harness.  Arms are labelled 1..J=2^K and effects
 
 from .assignment import (
     ObservedData,
-    count_assignments,
     draw_assignment,
     enumerate_assignments,
     observe,
 )
 from .bayes import PriorSpec
-from .design import IntervalReport, ModelMatrix, build_model_matrix, treatment_combinations
+from .design import IntervalReport, ModelMatrix, build_model_matrix
 from .errors import CaseFileError, ResourceLimitError, UnsupportedRepresentationError
 from .harness import (
     CoverageReport,
@@ -35,7 +34,6 @@ from .population import (
     PotentialTable,
     estimands,
     from_cell_counts,
-    pairwise_covariance,
     sampling_variance,
     to_cell_counts,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "build_model_matrix",
     "conditional_probs",
     "confidence_interval",
-    "count_assignments",
     "coverage_experiment",
     "draw_assignment",
     "enumerate_assignments",
@@ -74,11 +71,9 @@ __all__ = [
     "generate_cases",
     "load_fixture_cases",
     "observe",
-    "pairwise_covariance",
     "point_estimate",
     "run_study",
     "sampling_variance",
     "to_cell_counts",
-    "treatment_combinations",
     "variance_estimate",
 ]

@@ -143,10 +143,19 @@ def check_arms(arms, n_units: int | None = None, n_arms: int | None = None) -> n
         raise ValueError(f"arm sizes must sum to {n_units}, got {sizes}")
     if n_arms is not None and arms.size != n_arms:
         raise ValueError(f"expected {n_arms} arm sizes, got {arms.size}")
-    if (arms < 2).any():
+    if sizes and min(sizes) < 2:
         raise ValueError("every arm needs at least 2 units")
     check_units(total)
     return arms
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` if it is read-only, else a read-only copy of it: what a
+    constructor keeps, without changing the flags of an array passed to it."""
+    if array.flags.writeable:
+        array = array.copy()
+        array.setflags(write=False)
+    return array
 
 
 def check_counts(counts, n: np.ndarray) -> np.ndarray:

@@ -15,14 +15,13 @@ taken from ``arms`` and never counted again.
 from __future__ import annotations
 
 import itertools
-import math
 import numbers
 from dataclasses import dataclass
 from typing import Collection, Iterator
 
 import numpy as np
 
-from ._checks import check_arms, check_factors, check_units, whole_numbers
+from ._checks import check_arms, check_factors, read_only, whole_numbers
 from .errors import ResourceLimitError
 from .population import PotentialTable
 
@@ -40,7 +39,12 @@ _PCG_MASK = (1 << 128) - 1
 
 @dataclass(frozen=True)
 class ObservedData:
-    """Arm sizes and success counts, the sole input to all inference."""
+    """Arm sizes and success counts, the sole input to all inference.
+
+    The arm sizes follow :func:`check_arms`, with J = 2^K of them.  Both
+    vectors are kept as read-only int64 arrays; a writable array passed in
+    is copied, not frozen.
+    """
 
     k: int
     n: np.ndarray  # (J,) arm sizes, each >= 2
@@ -48,23 +52,15 @@ class ObservedData:
 
     def __post_init__(self) -> None:
         check_factors(self.k)
-        j = 2**self.k
-        n = whole_numbers(self.n, "arm sizes")
+        n = check_arms(self.n, n_arms=2**self.k)
         n_obs = whole_numbers(self.n_obs, "success counts")
-        if n.shape != (j,) or n_obs.shape != (j,):
-            raise ValueError(f"expected {j} arm sizes and counts for K={self.k}")
-        # Python ints: cheaper than a numpy reduction per check on J entries,
-        # and their sum cannot wrap as an int64 sum could
-        sizes, successes = n.tolist(), n_obs.tolist()
-        if min(sizes) < 2:
-            raise ValueError("every arm needs at least 2 assigned units")
-        if not all(0 <= s <= size for s, size in zip(successes, sizes)):
+        if n_obs.shape != n.shape:
+            raise ValueError(f"expected {n.size} success counts for K={self.k}")
+        # Python ints: cheaper than numpy comparisons on J entries
+        if not all(0 <= s <= size for s, size in zip(n_obs.tolist(), n.tolist())):
             raise ValueError("success counts must satisfy 0 <= n_obs <= n")
-        check_units(sum(sizes))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "n_obs", n_obs)
-        self.n.setflags(write=False)
-        self.n_obs.setflags(write=False)
+        object.__setattr__(self, "n", read_only(n))
+        object.__setattr__(self, "n_obs", read_only(n_obs))
 
     @property
     def n_arms(self) -> int:
@@ -223,17 +219,13 @@ def observe(table: PotentialTable, arm_of: np.ndarray) -> np.ndarray:
     return n_obs
 
 
-def count_assignments(arms: np.ndarray) -> int:
-    """Multinomial coefficient: number of distinct assignments."""
-    return _multinomial(check_arms(arms).tolist())
-
-
-def _multinomial(sizes: list[int], bound: float = math.inf) -> int:
-    """The multinomial coefficient of ``sizes``, or the first partial
-    product past ``bound``.  It is built one unit at a time as a product of
-    binomial coefficients, each partial product a whole number no smaller
-    than the last, so a large population stops early instead of taking
-    the factorial of N."""
+def _multinomial(sizes: list[int], bound: int) -> int:
+    """The multinomial coefficient of ``sizes`` when it is at most
+    ``bound``; otherwise the first partial product past ``bound``, which
+    tells the caller only that the coefficient exceeds it.  It is built one
+    unit at a time as a product of binomial coefficients, each partial
+    product a whole number no smaller than the last, so a large population
+    stops early instead of taking the factorial of N."""
     total, placed = 1, 0
     for size in sizes:
         for i in range(1, size + 1):

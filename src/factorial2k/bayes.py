@@ -69,6 +69,7 @@ from ._checks import (
     check_lattice,
     check_level,
     check_matrix,
+    read_only,
 )
 from .assignment import ObservedData
 from .design import IntervalReport, ModelMatrix, lattice_step
@@ -121,10 +122,8 @@ class PriorSpec:
                 f"Beta prior hyperparameters must not exceed {MAX_PRIOR:g}, got "
                 f"alpha={alpha.tolist()}, beta={beta.tolist()}"
             )
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        self.alpha.setflags(write=False)
-        self.beta.setflags(write=False)
+        object.__setattr__(self, "alpha", read_only(alpha))
+        object.__setattr__(self, "beta", read_only(beta))
 
     @classmethod
     def uniform(cls, n_arms: int) -> "PriorSpec":
@@ -198,20 +197,6 @@ def posterior_variance(obs: ObservedData, prior: PriorSpec) -> float:
         * (1.0 - p_prime)
         / (n_prime + 1.0)
     )
-    return float(4.0 ** -(obs.k - 1) * terms.sum())
-
-
-def posterior_variance_large_n(obs: ObservedData) -> float:
-    """Large-sample limit of the posterior variance (prior washed out).
-
-        2^-2(K-1) * sum_j (1 - n_j / N) p_hat_j (1 - p_hat_j) / (n_j - 1)
-
-    Term by term this is the conservative randomization variance
-    estimate shrunk by the finite-population factor 1 - n_j / N, hence
-    never exceeds it.
-    """
-    p = obs.p_hat
-    terms = (1.0 - obs.n / obs.n_units) * p * (1.0 - p) / (obs.n - 1)
     return float(4.0 ** -(obs.k - 1) * terms.sum())
 
 
@@ -407,16 +392,13 @@ def _effect_laws(n, counts, signs, prior, cuts):
     slots = 2 * np.arange(n.size) + flipped  # each row's group of each arm
     offsets += lead[slots].sum(axis=-1)
     spans = widths[slots].reshape(-1, n.size)  # one row, or one per dataset
-    # per stage: its fan-in, padded size, the widths of its laws, and where
-    # each law is within its width (rows with their own widths or windows find
-    # it per chunk)
+    # per stage: its fan-in, padded size and the widths of its laws
     stages = []
     k = n.size.bit_length() - 1
     for fan_in in [4] * (k // 2) + [2] * (k % 2):
         spans = spans.reshape(len(spans), -1, fan_in).sum(axis=2) - (fan_in - 1)
         size = _fft_size(int(spans.max()))
-        mask = np.arange(size) < spans[:, :, None] if len(spans) == 1 else None
-        stages.append((fan_in, size, spans, mask))
+        stages.append((fan_in, size, spans))
     top = int(spans.max())  # the widest law of effect values, zero past each row's width
     windows = np.zeros((len(distinct), widths[used].max()))
     for lo, hi, start, width in zip(*(v.tolist() for v in (first, ends, lead[used], widths[used]))):
@@ -425,21 +407,21 @@ def _effect_laws(n, counts, signs, prior, cuts):
     # than arms: sizing the window costs about what it saves on 3 or 4 rows,
     # and one dataset's effects (analyze) are fewer rows than arms.  starts:
     # each row's value at cell 0, counted as its trimmed support counts it
-    window, starts = None, None
+    window, starts = None, np.zeros(len(counts), dtype=np.int64)
     if len(stages) == 1 and len(counts) >= n.size:
         window = _window(pmfs, lead[2 * arm + reverse], arm, index, points, cuts, size)
     del pmfs
     if window is not None:  # one stage, on a circular window of each row's law
         top, shifts, starts = window
         offsets += starts
-        stages = [(fan_in, top, spans, None)]
+        stages = [(fan_in, top, spans)]
         windows = _wrap(windows, shifts, top)
     spectra = np.fft.rfft(windows, stages[0][1])
     del windows
-    chunk = max(1, CHUNK_CELLS // max(size * spans.shape[1] for _, size, spans, _ in stages))
+    chunk = max(1, CHUNK_CELLS // max(size * spans.shape[1] for _, size, spans in stages))
     for start in range(0, len(counts), chunk):
         rows = slice(start, start + chunk)
-        for stage, (fan_in, size, spans, mask) in enumerate(stages):
+        for stage, (fan_in, size, spans) in enumerate(stages):
             if stage:  # the product overwrites the chunk's own transform of the laws
                 transform = np.fft.rfft(laws, size)
                 product = transform[:, 0::fan_in]
@@ -455,14 +437,11 @@ def _effect_laws(n, counts, signs, prior, cuts):
             laws = np.fft.irfft(product, size)
             del product  # products and transforms are the largest arrays here
             np.maximum(laws, 0.0, out=laws)  # round-off leaves tiny negatives in the tails
-            if mask is None:  # rows of their own widths, or windows of their own starts
-                row_spans = spans if len(spans) == 1 else spans[rows]
-                if starts is None:
-                    mask = np.arange(size) < row_spans[:, :, None]
-                else:
-                    cells = np.arange(size) + starts[rows, None, None]
-                    mask = (cells >= 0) & (cells < row_spans[:, :, None])
-            laws *= mask  # past each law's support lies only round-off
+            # past each law's support lies only round-off; first: each row's cell of value 0
+            row_spans = spans if len(spans) == 1 else spans[rows]
+            cells, first = np.arange(size), -starts[rows, None, None]
+            laws *= (cells >= first) & (cells < first + row_spans[:, :, None])
+            del cells  # as long as a law: not kept into the next stage's transforms
         yield rows, offsets[rows], laws[:, 0, :top]
 
 

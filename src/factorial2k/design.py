@@ -24,21 +24,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_factors
+from ._checks import check_factors, read_only
 
 
 @dataclass(frozen=True)
 class ModelMatrix:
     """Dense +/-1 contrast matrix for a 2^K design.
 
-    Immutable after construction; the entry array is marked read-only.
+    Immutable after construction: it keeps a read-only entry array.
     """
 
     k: int
     entries: np.ndarray  # (J, J) integer matrix with values in {-1, +1}
 
     def __post_init__(self) -> None:
-        self.entries.setflags(write=False)
+        object.__setattr__(self, "entries", read_only(self.entries))
 
     @property
     def n_arms(self) -> int:
@@ -118,11 +118,3 @@ def lattice_step(k: int, n_units: int) -> float:
     the integer sum_j h_lj x (successes under arm j), and computing every
     effect as ``step * integer`` makes equal lattice points equal floats."""
     return 2.0 ** -(k - 1) / n_units
-
-
-def treatment_combinations(matrix: ModelMatrix) -> np.ndarray:
-    """The J treatment combinations as a (J, K) array of -1/+1 levels.
-
-    Row j-1 is arm j's factor levels, read off the main-effect columns.
-    """
-    return matrix.entries[:, 1 : matrix.k + 1]

@@ -33,6 +33,7 @@ from ._checks import (
     csv_number,
     read_csv_rows,
     read_json_object,
+    read_only,
     whole_number,
 )
 from ._fanout import fan_out
@@ -151,9 +152,9 @@ def coverage_experiment(
     exact Bayes intervals of all replications in one batched call.  An
     interval covers when lower <= true effect <= upper.
     """
-    # a copy: each replication's ObservedData freezes it, and check_arms
-    # may hand back the caller's own array
-    arms = check_arms(arms, case.n_units, 2**case.counts.k).copy()
+    # read-only, as are the count chunks below: each replication's
+    # ObservedData then keeps the arms and its count row without a copy
+    arms = read_only(check_arms(arms, case.n_units, 2**case.counts.k))
     check_replications(replications)
     methods = check_methods(methods, METHODS)
     if not isinstance(rng.bit_generator, np.random.PCG64):
@@ -170,6 +171,7 @@ def coverage_experiment(
         # replication r gets child r whatever the chunk size
         streams = children.streams(start, min(chunk, replications - start))
         n_obs = observe(table, draw_assignment(arms, streams))
+        n_obs.setflags(write=False)
         successes_by_chunk.append(n_obs)
         if "neyman" in methods:
             for n_obs_r in n_obs:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_arms, check_effect, check_factors, check_matrix, whole_numbers
+from ._checks import check_arms, check_effect, check_factors, check_matrix, read_only, whole_numbers
 from .design import ModelMatrix
 from .errors import UnsupportedRepresentationError
 
@@ -47,7 +47,7 @@ class PotentialTable:
             raise ValueError("outcome table must have at least one unit")
         if not np.isin(self.outcomes, (0, 1)).all():
             raise ValueError("outcomes must be 0 or 1")
-        self.outcomes.setflags(write=False)
+        object.__setattr__(self, "outcomes", read_only(self.outcomes))
 
     @property
     def n_units(self) -> int:
@@ -74,8 +74,7 @@ class CellCounts:
             raise ValueError(f"expected {n_cells} cell counts for K={self.k}, got shape {counts.shape}")
         if (counts < 0).any():
             raise ValueError("cell counts must be nonnegative")
-        object.__setattr__(self, "counts", counts)
-        self.counts.setflags(write=False)
+        object.__setattr__(self, "counts", read_only(counts))
 
     @staticmethod
     def factors(n_cells: int) -> int:
@@ -199,18 +198,3 @@ def sampling_variance(
     s2 = arm_variances(table)
     scale = 4.0 ** -(table.k - 1)
     return float(scale * (s2 / arms).sum() - effect_variation(table, matrix, l) / table.n_units)
-
-
-def pairwise_covariance(table: PotentialTable, j: int, j_other: int) -> float:
-    """Finite-population covariance S_{jj'} between outcomes of two arms."""
-    if j == j_other:
-        raise ValueError("pairwise covariance needs two distinct arms")
-    for arm in (j, j_other):
-        if not 1 <= arm <= table.n_arms:
-            raise ValueError(f"arm {arm} outside 1..{table.n_arms}")
-    n = table.n_units
-    if n < 2:
-        raise ValueError("covariance needs at least two units")
-    y1 = table.outcomes[:, j - 1]
-    y2 = table.outcomes[:, j_other - 1]
-    return float(((y1 - y1.mean()) * (y2 - y2.mean())).sum() / (n - 1))

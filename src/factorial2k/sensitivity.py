@@ -33,6 +33,7 @@ from ._checks import (
     check_matrix,
     check_rho,
     check_sweep_work,
+    read_only,
 )
 from ._fanout import fan_out
 from .assignment import ObservedData
@@ -69,8 +70,7 @@ class GammaStructure:
         off = ~np.eye(g.shape[0], dtype=bool)
         if (g[off] < 0).any() or (g[off] >= 1).any():
             raise ValueError("off-diagonal associations must lie in [0, 1)")
-        object.__setattr__(self, "gamma", g)
-        self.gamma.setflags(write=False)
+        object.__setattr__(self, "gamma", read_only(g))
 
     @property
     def n_arms(self) -> int:

@@ -8,7 +8,6 @@ from scipy import stats
 from factorial2k import (
     PotentialTable,
     ResourceLimitError,
-    count_assignments,
     draw_assignment,
     enumerate_assignments,
     observe,
@@ -102,7 +101,6 @@ class TestEnumerateAssignments:
         [(4, (2, 2), 6), (8, (2, 2, 2, 2), 2520), (6, (2, 2, 2), 90)],
     )
     def test_counts(self, n_units, arms, expected):
-        assert count_assignments(np.array(arms)) == expected
         assignments = list(enumerate_assignments(np.array(arms)))
         assert len(assignments) == expected
         assert {a.size for a in assignments} == {n_units}

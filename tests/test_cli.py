@@ -842,11 +842,12 @@ class TestGenCases:
 
 class TestEntryPoints:
     def test_cli_import_leaves_scipy_out(self):
-        """numpy is the only runtime dependency: a fresh interpreter that
-        imports the CLI must not load scipy."""
+        """numpy is the only runtime dependency, and the pool modules load
+        only when a pool is built: a fresh interpreter that imports the CLI
+        must load neither scipy nor multiprocessing or concurrent.futures."""
         code = (
-            "import sys, factorial2k.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            "import sys, factorial2k.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))"
         )
         cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert cp.returncode == 0, cp.stderr

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from factorial2k.design import build_model_matrix, interaction_subsets, treatment_combinations
+from factorial2k.design import build_model_matrix, interaction_subsets
 
 
 class TestBuildModelMatrix:
@@ -79,25 +79,6 @@ class TestInteractionSubsets:
         keys = [(len(s), s) for s in subsets]
         assert keys == sorted(keys)
         assert len(subsets) == 2**5 - 1 - 5
-
-
-class TestTreatmentCombinations:
-    def test_k1(self):
-        combos = treatment_combinations(build_model_matrix(1))
-        assert combos.tolist() == [[-1], [1]]
-
-    def test_k2(self):
-        combos = treatment_combinations(build_model_matrix(2))
-        assert combos.tolist() == [[-1, -1], [-1, 1], [1, -1], [1, 1]]
-
-    def test_k3_endpoints_and_count(self):
-        combos = treatment_combinations(build_model_matrix(3))
-        assert combos.shape == (8, 3)
-        assert combos[0].tolist() == [-1, -1, -1]
-        assert combos[1].tolist() == [-1, -1, 1]
-        assert combos[-1].tolist() == [1, 1, 1]
-        # all combinations distinct
-        assert len({tuple(row) for row in combos.tolist()}) == 8
 
 
 def test_interval_report_lives_in_design():

@@ -9,7 +9,6 @@ from factorial2k import (
     UnsupportedRepresentationError,
     estimands,
     from_cell_counts,
-    pairwise_covariance,
     sampling_variance,
     to_cell_counts,
 )
@@ -189,30 +188,3 @@ class TestSamplingVariance:
         for l in (1, 2, 3):
             effects = individual_effects(table, h2, l)
             assert (np.abs(effects) <= 1 + 1e-15).all()
-
-
-class TestPairwiseCovariance:
-    def test_comonotone_split(self):
-        outcomes = np.vstack([np.zeros((4, 4), int), np.ones((4, 4), int)])
-        table = PotentialTable(k=2, outcomes=outcomes)
-        for j, jp in [(1, 2), (1, 4), (3, 2)]:
-            assert pairwise_covariance(table, j, jp) == pytest.approx(2 / 7, abs=1e-15)
-
-    def test_balanced_product_population_is_unassociated(self):
-        # one unit per joint pattern: bits of a uniform word are independent
-        table = from_cell_counts(CellCounts(k=2, counts=np.ones(16, dtype=int)))
-        for j in range(1, 5):
-            for jp in range(1, 5):
-                if j != jp:
-                    assert pairwise_covariance(table, j, jp) == pytest.approx(0.0, abs=1e-15)
-
-    def test_constant_column_gives_zero(self):
-        rng = np.random.default_rng(17)
-        outcomes = rng.integers(0, 2, size=(10, 4))
-        outcomes[:, 0] = 1
-        table = PotentialTable(k=2, outcomes=outcomes)
-        assert pairwise_covariance(table, 1, 3) == pytest.approx(0.0, abs=1e-15)
-
-    def test_rejects_same_arm(self, case1_table):
-        with pytest.raises(ValueError):
-            pairwise_covariance(case1_table, 2, 2)

@@ -11,7 +11,7 @@ import pytest
 
 from factorial2k import CaseFileError, CellCounts, ObservedData, ResourceLimitError, StudyConfig
 from factorial2k import _checks, bayes, harness, neyman, population, sensitivity
-from factorial2k.design import build_model_matrix
+from factorial2k.design import ModelMatrix, build_model_matrix
 
 from test_harness import toy_rows, write_toy_config
 
@@ -311,6 +311,22 @@ class TestCheckArms:
         with pytest.raises(ValueError, match="^every arm needs at least 2 units$"):
             _checks.check_arms([3, 1])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [3, 1, 2, 2],
+            [10.5, 9.5, 10, 10],
+            [2**70, 2, 2, 2],
+            [2**62, 2**62, 2**62, 2**62 + 800],  # the int64 sum wraps to 800
+            [10, 10, 10],
+        ],
+    )
+    def test_observed_data_gives_the_same_message(self, bad):
+        with pytest.raises(ValueError) as shared:
+            _checks.check_arms(bad, n_arms=4)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(shared.value))}$"):
+            ObservedData(k=2, n=bad, n_obs=np.zeros(4, dtype=np.int64))
+
     def test_draw_refuses_a_wrapping_sum(self):
         """np.repeat sums the sizes in int64, so a wrapping sum once reached
         it and crashed the interpreter; run in a subprocess, where a crash
@@ -327,3 +343,29 @@ class TestCheckArms:
         cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert cp.returncode == 0, cp.stderr
         assert cp.stdout.startswith("total unit count must not exceed 2^53")
+
+
+class TestConstructorsLeaveTheirInputs:
+    """A constructor keeps read-only arrays, but never freezes an array
+    passed to it: one that needs no conversion is copied."""
+
+    FIELDS = {
+        ObservedData: lambda: dict(k=1, n=np.array([3, 4]), n_obs=np.array([1, 2])),
+        bayes.PriorSpec: lambda: dict(alpha=np.ones(4), beta=np.full(4, 2.0)),
+        population.PotentialTable: lambda: dict(k=1, outcomes=np.array([[0, 1], [1, 1]])),
+        CellCounts: lambda: dict(k=1, counts=np.array([3, 1, 0, 2])),
+        sensitivity.GammaStructure: lambda: dict(gamma=np.array([[0.0, 0.5], [0.5, 0.0]])),
+        ModelMatrix: lambda: dict(k=1, entries=np.array([[1, -1], [1, 1]])),
+    }
+
+    @pytest.mark.parametrize("build", list(FIELDS), ids=lambda build: build.__name__)
+    def test_input_stays_writable(self, build):
+        fields = self.FIELDS[build]()
+        held = build(**fields)
+        for name, given in fields.items():
+            if isinstance(given, np.ndarray):
+                kept = getattr(held, name)
+                assert given.flags.writeable and not kept.flags.writeable
+                before = kept.copy()
+                given += 1  # the caller's array is still the caller's
+                assert np.array_equal(kept, before)
