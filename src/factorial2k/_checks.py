@@ -32,6 +32,8 @@ MAX_FACTORS = 10  # J x J dense storage stays trivial up to 1024 x 1024
 # fit the one uint32 key word that the bulk seeding hashes.
 MAX_REPLICATIONS = 2**32
 
+MAX_SEED = 2**64 - 1
+
 
 def check_factors(k) -> None:
     """Factor count K; callers check it before they form 2^K."""
@@ -50,8 +52,15 @@ def check_matrix(matrix, k: int) -> None:
 
 
 def check_level(level: float) -> None:
+    """A level in (0, 1) whose upper tail 1 - (1 + level) / 2 is above 0:
+    of the floats below 1 only 1 - 2^-53 fails that, for 1 + level rounds to 2."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"interval level must be in (0,1), got {level}")
+    if (1.0 + level) / 2.0 == 1.0:
+        raise ValueError(
+            f"interval level {level} leaves an upper tail 1 - (1 + level) / 2 of 0; "
+            "the largest level is 0.9999999999999998"
+        )
 
 
 def check_draws(draws: int, n_arms: int) -> None:
@@ -137,16 +146,36 @@ def check_arms(arms, n_units: int | None = None, n_arms: int | None = None) -> n
     arms = whole_numbers(arms, "arm sizes")
     if arms.ndim != 1:
         raise ValueError(f"arm sizes must form a vector, got {arms.tolist()}")
+    if not arms.size:
+        raise ValueError("arm sizes must not be empty")
     sizes = arms.tolist()
     total = sum(sizes)
     if n_units is not None and total != n_units:
         raise ValueError(f"arm sizes must sum to {n_units}, got {sizes}")
     if n_arms is not None and arms.size != n_arms:
         raise ValueError(f"expected {n_arms} arm sizes, got {arms.size}")
-    if sizes and min(sizes) < 2:
+    if min(sizes) < 2:
         raise ValueError("every arm needs at least 2 units")
     check_units(total)
     return arms
+
+
+def check_seed(seed: int, name: str = "seed") -> int:
+    """A whole-number seed from 0 to ``MAX_SEED``."""
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"{name} must fit in 64 bits, got {seed}")
+    return seed
+
+
+def check_threads(threads, name: str = "threads") -> int | None:
+    """A worker count: None (all usable cores) or, under the rule of
+    :func:`whole_number`, an int of at least 1."""
+    if threads is None:
+        return None
+    threads = whole_number(threads, name)
+    if threads < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return threads
 
 
 def read_only(array: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 
+from ._checks import check_threads
 from .errors import ResourceLimitError
 
 
@@ -31,12 +32,14 @@ def process_pool(max_workers: int):
 
 def fan_out(fn, jobs, threads: int | None, chunksize: int) -> list:
     """``[fn(job) for job in jobs]``, computed by up to ``threads`` worker
-    processes (default: all usable cores), never more than there are jobs.
+    processes (default: all usable cores), never more than there are jobs;
+    ``threads`` is None or a whole number of at least 1.
 
     With one worker the jobs run in the calling process and no pool is
     built.  A worker that dies (killed, out of memory) raises
     :class:`ResourceLimitError`.
     """
+    threads = check_threads(threads)
     jobs = list(jobs)
     workers = min(usable_cores() if threads is None else threads, len(jobs))
     if workers <= 1:

@@ -50,9 +50,7 @@ at most (J + 1) * TRIM times those probabilities, less than the
 round-off of the convolution itself, so a bound moves only if the
 untrimmed CDF is that close to its threshold; the test suite finds no
 such case in 3,000 random datasets, nor on windows over 300 more.
-A tail probability that rounds to 0 trims nothing at its end, and puts
-its bound at the edge of the support.  ``predictive_pmf`` trims nothing
-and uses no window.
+``predictive_pmf`` trims nothing and uses no window.
 """
 
 from __future__ import annotations
@@ -170,14 +168,9 @@ def posterior_mean(obs: ObservedData, matrix: ModelMatrix, l: int, prior: PriorS
     check_matrix(matrix, obs.k)
     check_effect(l, obs.n_arms)
     _check_prior(obs.n_arms, prior)
-    totals = _mean_totals(obs, prior)
-    return float(lattice_step(obs.k, obs.n_units) * (matrix.entries[:, l] @ totals))
-
-
-def _mean_totals(obs: ObservedData, prior: PriorSpec) -> np.ndarray:
-    """Each arm's posterior predictive mean success total, n_j^obs + (N - n_j) p'_j."""
     p_prime = (obs.n_obs + prior.alpha) / (obs.n + prior.alpha + prior.beta)
-    return obs.n_obs + (obs.n_units - obs.n) * p_prime
+    totals = obs.n_obs + (obs.n_units - obs.n) * p_prime
+    return float(lattice_step(obs.k, obs.n_units) * (matrix.entries[:, l] @ totals))
 
 
 def posterior_variance(obs: ObservedData, prior: PriorSpec) -> float:
@@ -284,11 +277,11 @@ def exact_intervals(
     signs = matrix.entries[:, list(effects)].T
     lower, upper = _bounds(obs.n, obs.n_obs[None].repeat(len(signs), axis=0), signs, prior, level)
     step = lattice_step(obs.k, obs.n_units)
-    totals, variance = _mean_totals(obs, prior), posterior_variance(obs, prior)
+    variance = posterior_variance(obs, prior)
     return [
         IntervalReport(
             effect=l,
-            point=float(step * (matrix.entries[:, l] @ totals)),
+            point=posterior_mean(obs, matrix, l, prior),
             variance=variance,
             lower=low,
             upper=high,
@@ -314,10 +307,6 @@ def _bounds(n, counts, signs, prior, level):
     lower, upper = np.empty((2, len(counts)), dtype=np.int64)
     if not len(counts):
         return lower, upper
-    if tails[1] == 0.0:
-        # every lattice point has positive mass, so the bound is the top of the
-        # support, where B_j = N - n_j if h_j = +1 and B_j = 0 if h_j = -1
-        upper[:] = (counts * signs).sum(axis=1) + ((n.sum() - n) * (signs > 0)).sum(axis=-1)
     for rows, offsets, pmfs in _effect_laws(
         n, counts, signs, prior, (TRIM * tails[0], TRIM * tails[1])
     ):
@@ -325,18 +314,17 @@ def _bounds(n, counts, signs, prior, level):
         # P(X > i) <= 1 - q for the upper one, each tail summed from its own
         # end.  Past its support a row's law is 0, which neither test counts.
         lower[rows] = offsets + (np.cumsum(pmfs, axis=1) < tails[0]).sum(axis=1)
-        if tails[1] > 0.0:
-            at_least = np.cumsum(pmfs[:, ::-1], axis=1)[:, ::-1]  # P(X >= i)
-            upper[rows] = offsets + (at_least[:, 1:] > tails[1]).sum(axis=1)
+        at_least = np.cumsum(pmfs[:, ::-1], axis=1)[:, ::-1]  # P(X >= i)
+        upper[rows] = offsets + (at_least[:, 1:] > tails[1]).sum(axis=1)
     return lower, upper
 
 
 def _effect_laws(n, counts, signs, prior, cuts):
     """Exact laws of sum_j h_rj (n_rj^obs + B_j), one per row r of the
-    (R, J) ``counts`` and of the contrast ``signs``: (R, J) too, or one (J,)
-    row that every dataset shares.  They are yielded in row chunks as
-    ``(rows, offsets, pmfs)``: row r's value ``offsets[r] + i`` has
-    probability ``pmfs[r, i]``, and 0 past its support.
+    (R, J) ``counts`` and of the contrast ``signs``, which broadcast to
+    (R, J): one (J,) row serves every dataset.  They are yielded in row
+    chunks as ``(rows, offsets, pmfs)``: row r's value ``offsets[r] + i``
+    has probability ``pmfs[r, i]``, and 0 past its support.
 
     Each arm's law is built, oriented, trimmed by ``cuts`` (see ``TRIM``)
     and Fourier-transformed once per distinct (count, sign) of that arm, at
@@ -356,9 +344,10 @@ def _effect_laws(n, counts, signs, prior, cuts):
     missing = n_units - n
     points = int(missing.sum()) + 1  # the values of each row's sum
     check_lattice(points)
+    signs = np.broadcast_to(signs, counts.shape)
     # where h_j = -1 the law enters reversed: m_j - B_j ~ Beta-Binomial(m_j, b, a)
     flipped = signs < 0
-    offsets = (counts * signs).sum(axis=1) - (missing * flipped).sum(axis=-1)
+    offsets = (counts * signs).sum(axis=1) - (missing * flipped).sum(axis=1)
     # every arm's distinct laws, marked in one presence mask: arm j keys a count
     # c as c where h_j = +1 and as n_j + 1 + c where h_j = -1, and its keys
     # low_j..high_j take the cells from base_j on, at most 2 (N + J) cells
@@ -390,8 +379,8 @@ def _effect_laws(n, counts, signs, prior, cuts):
     # zero padding is no support
     widths = np.minimum(np.repeat(missing, 2) + 1, pmfs.shape[1] - trail) - lead
     slots = 2 * np.arange(n.size) + flipped  # each row's group of each arm
-    offsets += lead[slots].sum(axis=-1)
-    spans = widths[slots].reshape(-1, n.size)  # one row, or one per dataset
+    offsets += lead[slots].sum(axis=1)
+    spans = widths[slots]
     # per stage: its fan-in, padded size and the widths of its laws
     stages = []
     k = n.size.bit_length() - 1
@@ -438,9 +427,8 @@ def _effect_laws(n, counts, signs, prior, cuts):
             del product  # products and transforms are the largest arrays here
             np.maximum(laws, 0.0, out=laws)  # round-off leaves tiny negatives in the tails
             # past each law's support lies only round-off; first: each row's cell of value 0
-            row_spans = spans if len(spans) == 1 else spans[rows]
             cells, first = np.arange(size), -starts[rows, None, None]
-            laws *= (cells >= first) & (cells < first + row_spans[:, :, None])
+            laws *= (cells >= first) & (cells < first + spans[rows, :, None])
             del cells  # as long as a law: not kept into the next stage's transforms
         yield rows, offsets[rows], laws[:, 0, :top]
 
@@ -469,12 +457,11 @@ def _window(pmfs, leads, arm, index, support, cuts, linear_size):
     x = np.arange(pmfs.shape[1])
     centers = np.rint(pmfs @ x).astype(np.int64)
     # a geometric grid, theta * x within 256 of 0: far from exp's overflow at 709
-    theta = 256.0 / max(x[-1], 1) * 2.0 ** (-np.arange(17) / 2.0)
+    theta = 256.0 / x[-1] * 2.0 ** (-np.arange(17) / 2.0)
     theta = np.concatenate((theta, -theta))  # the upper end, then the lower end
     log_mgf = np.log(pmfs @ np.exp(np.multiply.outer(x, theta)))
     log_mgf -= np.multiply.outer(centers, theta)
-    with np.errstate(divide="ignore"):  # a cut of 0 leaves the whole support
-        log_cuts = np.log(np.repeat(cuts[::-1], len(theta) // 2))
+    log_cuts = np.log(np.repeat(cuts[::-1], len(theta) // 2))
     # the least t with exp(sum_j L_j(theta) - |theta| t) < cut, at the best theta
     reach = (np.floor((log_mgf[index].sum(axis=1) - log_cuts) / np.abs(theta)) + 1).reshape(
         len(index), 2, -1

@@ -29,7 +29,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bayes, harness, neyman, sensitivity
-from ._checks import check_effect, csv_number, read_csv_rows, read_json_object, whole_number
+from ._checks import (
+    MAX_SEED,
+    check_effect,
+    check_seed,
+    check_threads,
+    csv_number,
+    read_csv_rows,
+    read_json_object,
+    whole_number,
+)
 from .assignment import ObservedData
 from .design import IntervalReport, build_model_matrix
 from .errors import ResourceLimitError
@@ -39,7 +48,6 @@ EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
 
 JSON_SIG_DIGITS = 6
-MAX_SEED = 2**64 - 1
 MAX_GRID_POINTS = 10_000
 
 # Stream keys: every RNG consumer gets a SeedSequence(seed, spawn_key=...)
@@ -85,10 +93,7 @@ def _convert(text: str, convert, name: str):
 def _parse_seed(value: str | None) -> int:
     if value is None:
         return int(np.random.SeedSequence().entropy) & MAX_SEED
-    seed = _convert(value, int, "--seed")
-    if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"seed must fit in 64 bits, got {value}")
-    return seed
+    return check_seed(_convert(value, int, "--seed"))
 
 
 def _parse_threads(value: int | None) -> int | None:
@@ -96,9 +101,7 @@ def _parse_threads(value: int | None) -> int | None:
     name, env = "--threads", os.environ.get("FACTORIAL_THREADS")
     if value is None and env:
         name, value = "FACTORIAL_THREADS", _convert(env, int, "FACTORIAL_THREADS")
-    if value is not None and value < 1:
-        raise ValueError(f"{name} must be at least 1")
-    return value
+    return check_threads(value, name)
 
 
 def _parse_prior(alpha: str, beta: str, n_arms: int) -> bayes.PriorSpec:

@@ -29,6 +29,7 @@ from ._checks import (
     check_level,
     check_methods,
     check_replications,
+    check_seed,
     check_units,
     csv_number,
     read_csv_rows,
@@ -227,6 +228,9 @@ class StudyConfig:
         object.__setattr__(self, "methods", check_methods(self.methods, METHODS))
         check_replications(self.replications)
         check_level(self.level)
+        check_seed(self.seed, "'seed'")
+        if isinstance(self.cases, GeneratorSpec):
+            check_seed(self.cases.seed, "generator spec 'seed'")
 
     @classmethod
     def from_json(cls, path) -> "StudyConfig":

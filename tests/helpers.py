@@ -1,5 +1,7 @@
 """Known-answer inputs and random-data builders shared by the test modules."""
 
+import re
+
 import numpy as np
 
 from factorial2k import ObservedData, PotentialTable
@@ -11,6 +13,16 @@ CASE_2 = (52, 61, 10, 57, 111, 64, 22, 25, 11, 67, 85, 39, 7, 107, 57, 25)
 # 2x2 smoking-cessation trial: (gum, counseling) arms, quit counts at 26 weeks.
 TRIAL_N = (189, 188, 189, 189)
 TRIAL_N_OBS = (13, 29, 19, 34)
+
+# The one level in (0, 1) whose upper tail 1 - (1 + level) / 2 rounds to 0
+# (1 - 2^-53), the message every entry point refuses it with, and that
+# message as an anchored pattern.
+ZERO_TAIL_LEVEL = 0.9999999999999999
+ZERO_TAIL_MESSAGE = (
+    "interval level 0.9999999999999999 leaves an upper tail 1 - (1 + level) / 2 of 0; "
+    "the largest level is 0.9999999999999998"
+)
+ZERO_TAIL = f"^{re.escape(ZERO_TAIL_MESSAGE)}$"
 
 
 def random_table(rng, n_units, k=2):

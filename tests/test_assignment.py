@@ -48,6 +48,10 @@ class TestDrawAssignment:
         b = draw_assignment(np.array([4, 4]), [np.random.default_rng(2)])
         assert not np.array_equal(a, b)
 
+    def test_rejects_empty_arm_sizes(self):
+        with pytest.raises(ValueError, match="^arm sizes must not be empty$"):
+            draw_assignment(np.array([], dtype=np.int64), [np.random.default_rng(0)])
+
     def test_rejects_undersized_arm(self):
         with pytest.raises(ValueError):
             draw_assignment(np.array([1, 7]), [np.random.default_rng(0)])

@@ -29,7 +29,7 @@ from factorial2k.harness import StudyConfig, resolve_cases
 from factorial2k.neyman import point_estimate
 from factorial2k.population import from_cell_counts
 
-from helpers import pmf_quantiles, random_observed
+from helpers import ZERO_TAIL, pmf_quantiles, random_observed
 
 
 def mc_se_mean(values):
@@ -350,24 +350,18 @@ class TestExactInterval:
                 assert math.fsum(pmf[: lower + 1]) >= 0.05 > math.fsum(pmf[:lower])
                 assert math.fsum(pmf[upper + 1 :]) <= 1.0 - 0.95 < math.fsum(pmf[upper:])
 
-    def test_tail_rounding_to_one_returns_support_maximum(self, trial_obs, h2):
+    def test_tail_rounding_to_one_is_refused(self, trial_obs, h2):
         level = float(np.nextafter(1.0, 0.0))
         assert (1.0 + level) / 2.0 == 1.0
-        prior = PriorSpec.uniform(4)
-        offset, pmf = predictive_pmf(trial_obs, h2, 2, prior)
-        report = exact_interval(trial_obs, h2, 2, prior, level)
-        assert report.upper == lattice_step(2, trial_obs.n_units) * (offset + pmf.size - 1)
+        with pytest.raises(ValueError, match=ZERO_TAIL):
+            exact_interval(trial_obs, h2, 2, PriorSpec.uniform(4), level)
 
-    def test_tail_rounding_to_one_on_random_datasets(self):
-        """Far entries of the convolved law are round-off, zeroed where
-        negative; the upper bound must not depend on where that left a
-        positive entry."""
+    def test_tail_rounding_to_one_is_refused_on_random_datasets(self):
         level = float(np.nextafter(1.0, 0.0))
         for obs, matrix, prior in random_datasets(34, count=20):
             for l in range(1, obs.n_arms):
-                offset, pmf = predictive_pmf(obs, matrix, l, prior)
-                report = exact_interval(obs, matrix, l, prior, level)
-                assert report.upper == lattice_step(obs.k, obs.n_units) * (offset + pmf.size - 1)
+                with pytest.raises(ValueError, match=ZERO_TAIL):
+                    exact_interval(obs, matrix, l, prior, level)
 
     def test_agrees_with_monte_carlo(self, trial_obs, h2):
         prior = PriorSpec.uniform(4)
@@ -545,7 +539,7 @@ class TestExactIntervals:
     same bounds as one ``exact_interval`` call per effect, and as the
     quantiles of the untrimmed ``predictive_pmf``, at every chunk budget."""
 
-    TOP = float(np.nextafter(1.0, 0.0))  # its upper tail (1 - (1 + level) / 2) rounds to 0
+    TOP = float(np.nextafter(1.0, 0.0))  # refused: its upper tail 1 - (1 + level) / 2 rounds to 0
     LEVELS = (0.5, 0.95, 0.999, 1.0 - 1e-9, TOP)
 
     @staticmethod
@@ -555,20 +549,19 @@ class TestExactIntervals:
         yield from random_datasets(52, count=2, k=5, max_n=5)
 
     def check(self, obs, matrix, effects, prior, level):
-        """At TOP only the upper bound is checked, against the support
-        maximum: a lower tail of 6e-17 lies below the round-off of the
-        convolution, so no computation pins that bound."""
+        """TOP is refused."""
+        if level == self.TOP:
+            with pytest.raises(ValueError, match=ZERO_TAIL):
+                exact_intervals(obs, matrix, effects, prior, level)
+            return
         reports = exact_intervals(obs, matrix, effects, prior, level)
         assert [r.effect for r in reports] == effects
         step = lattice_step(obs.k, obs.n_units)
         for l, report in zip(effects, reports):
             single = exact_interval(obs, matrix, l, prior, level)
             offset, pmf = predictive_pmf(obs, matrix, l, prior)
-            if level == self.TOP:
-                assert report.upper == single.upper == step * (offset + pmf.size - 1)
-            else:
-                assert report == single
-                assert (report.lower, report.upper) == pmf_quantiles(offset, pmf, step, level)
+            assert report == single
+            assert (report.lower, report.upper) == pmf_quantiles(offset, pmf, step, level)
 
     @pytest.mark.parametrize("budget", [1, CHUNK_CELLS])
     def test_all_effects_equal_single_calls_and_untrimmed_quantiles(self, monkeypatch, budget):
@@ -587,7 +580,7 @@ class TestExactIntervals:
 
     def test_bounds_of_one_effect_for_many_datasets(self):
         """``exact_bounds`` shares one sign row among its datasets; it too
-        gives the untrimmed quantiles at every level."""
+        gives the untrimmed quantiles at every level, and refuses TOP."""
         rng = np.random.default_rng(54)
         for k in (1, 2, 3):
             j = 2**k
@@ -595,14 +588,15 @@ class TestExactIntervals:
             counts = rng.binomial(n, rng.uniform(0.05, 0.95, size=j), size=(12, j))
             matrix, prior, step = build_model_matrix(k), random_prior(rng, k), lattice_step(k, n.sum())
             for level in self.LEVELS:
+                if level == self.TOP:
+                    with pytest.raises(ValueError, match=ZERO_TAIL):
+                        exact_bounds(n, counts, matrix, j - 1, prior, level)
+                    continue
                 lower, upper = exact_bounds(n, counts, matrix, j - 1, prior, level)
                 for row, low, high in zip(counts, lower.tolist(), upper.tolist()):
                     obs = ObservedData(k=k, n=n, n_obs=row)
                     offset, pmf = predictive_pmf(obs, matrix, j - 1, prior)
-                    if level == self.TOP:
-                        assert high == step * (offset + pmf.size - 1)
-                    else:
-                        assert (low, high) == pmf_quantiles(offset, pmf, step, level)
+                    assert (low, high) == pmf_quantiles(offset, pmf, step, level)
 
     def test_points_and_variance_are_the_closed_forms(self):
         for obs, matrix, prior in self.datasets():

@@ -12,6 +12,7 @@ import pytest
 from factorial2k import CaseFileError, _fanout, bayes, cli, harness, sensitivity
 from factorial2k.data import data_path
 
+from helpers import ZERO_TAIL_LEVEL, ZERO_TAIL_MESSAGE
 from test_fanout import NoPool
 from test_harness import toy_rows, write_toy_config
 
@@ -147,6 +148,55 @@ class TestAnalyzeBytes:
         assert cli.main([*argv, "--out", str(out), *extra]) == 0
         blob = out.read_bytes()
         assert (len(blob), hashlib.sha256(blob).hexdigest()) == (length, digest), blob.decode()
+
+
+class TestSensitivityBytes:
+    """Pins the ``sensitivity`` CSV and JSON at seed 7, at one and two
+    workers, to the bytes they had before the exact path read its points
+    off ``posterior_mean``; only a change in how random numbers are
+    consumed may change them.  Each output is pinned by its SHA-256 digest
+    and length."""
+
+    CSV = (349, "0ecf6d917af1c508f0527f6ab0e220a71cbffaaea16ad04d6f61191c2fb26b81")
+    JSON = (841, "84de639115ede182bcc2158c899d1cc88c568bb3c834ec665366c0b62ce083d5")
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_csv_and_json_bytes(self, tmp_path, monkeypatch, threads):
+        monkeypatch.chdir(tmp_path)  # the JSON echoes the CSV path as given
+        argv = [
+            "sensitivity", "--input", str(AHLUWALIA), "--effect", "2", "--grid", "0:0.04:0.01",
+            "--draws", "2000", "--seed", "7", "--threads", threads,
+            "--csv-out", "sweep.csv", "--out", "report.json",
+        ]
+        assert cli.main(argv) == 0
+        for name, (length, digest) in (("sweep.csv", self.CSV), ("report.json", self.JSON)):
+            blob = (tmp_path / name).read_bytes()
+            assert (len(blob), hashlib.sha256(blob).hexdigest()) == (length, digest), blob.decode()
+
+
+class TestZeroTailLevel:
+    """Every command refuses the level 1 - 2^-53, whose upper tail rounds
+    to 0, with exit 2 and the same message, before it writes anything."""
+
+    @pytest.mark.parametrize("command", ["analyze", "sensitivity"])
+    def test_analysis_commands(self, tmp_path, capsys, command):
+        argv = [command, "--input", str(AHLUWALIA), "--seed", "1", "--threads", "1",
+                "--level", repr(ZERO_TAIL_LEVEL), "--out", str(tmp_path / "r.json")]
+        if command == "sensitivity":
+            argv += ["--effect", "2", "--grid", "0,0.5", "--draws", "1000",
+                     "--csv-out", str(tmp_path / "s.csv")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {ZERO_TAIL_MESSAGE}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("methods", [["bayes-indep"], ["neyman"], ["neyman", "bayes-indep"]])
+    def test_simulate(self, tmp_path, capsys, methods):
+        config = write_toy_config(tmp_path, toy_rows(1), level=ZERO_TAIL_LEVEL, methods=methods)
+        out_csv, out_json = tmp_path / "c.csv", tmp_path / "c.json"
+        argv = ["simulate", "--config", str(config), "--out-csv", str(out_csv), "--out", str(out_json)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {config}: {ZERO_TAIL_MESSAGE}\n"
+        assert not out_csv.exists() and not out_json.exists()
 
 
 class TestSensitivity:
@@ -794,6 +844,36 @@ class TestSimulate:
         assert f"total unit count must not exceed 2^53, got {sum(arms)}" in err
         assert "cases.csv" not in err
         assert not out_csv.exists() and not out_json.exists()
+
+    def test_empty_arms_exit_2(self, tmp_path, capsys):
+        """Empty arm sizes are refused as such, not blamed on the case file."""
+        config = write_toy_config(tmp_path, toy_rows(1), arms=[])
+        out_csv, out_json = tmp_path / "c.csv", tmp_path / "c.json"
+        argv = ["simulate", "--config", str(config), "--out-csv", str(out_csv), "--out", str(out_json)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: arm sizes must not be empty\n"
+        assert not out_csv.exists() and not out_json.exists()
+
+    @pytest.mark.parametrize(
+        "where, seed",
+        [("study", -1), ("study", 2**64), ("generator", -1)],
+        ids=["study-negative", "study-past-64-bits", "generator-negative"],
+    )
+    def test_config_seed_out_of_range_exits_2(self, tmp_path, capsys, where, seed):
+        """Both seeds of a config follow the ``--seed`` rule, and the error
+        names the file and the key."""
+        spec = {"n_cases": 2, "N": 40, "seed": seed if where == "generator" else 9}
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({
+            "cases": spec, "arms": [10, 10, 10, 10], "effect": 1, "replications": 5,
+            "seed": seed if where == "study" else 3,
+        }))
+        out_csv, out_json = tmp_path / "c.csv", tmp_path / "c.json"
+        argv = ["simulate", "--config", str(path), "--out-csv", str(out_csv), "--out", str(out_json)]
+        assert cli.main(argv) == 2
+        key = "'seed'" if where == "study" else "generator spec 'seed'"
+        assert capsys.readouterr().err == f"error: {path}: {key} must fit in 64 bits, got {seed}\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_level_fails_before_the_cases(self, tmp_path, monkeypatch, capsys):
         def no_cases(config):

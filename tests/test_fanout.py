@@ -86,6 +86,21 @@ def test_without_affinity_uses_cpu_count(monkeypatch):
     assert _fanout.usable_cores() == 1
 
 
+@pytest.mark.parametrize(
+    "threads, message",
+    [
+        (0, "threads must be at least 1"),
+        (-4, "threads must be at least 1"),
+        (True, "threads: True is not a whole number"),
+        (2.5, "threads: 2.5 is not a whole number"),
+    ],
+)
+def test_bad_thread_counts_are_refused(monkeypatch, threads, message):
+    monkeypatch.setattr(_fanout, "process_pool", NoPool)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _fanout.fan_out(square, range(4), threads, chunksize=1)
+
+
 def test_dead_worker_is_a_resource_error():
     with pytest.raises(ResourceLimitError, match="worker process died"):
         _fanout.fan_out(exit_in_worker, range(4), 2, chunksize=1)

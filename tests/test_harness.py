@@ -303,6 +303,18 @@ class TestStudyConfig:
 
 
 class TestRunStudy:
+    @pytest.mark.parametrize("threads", [0, -4, True, 2.5])
+    def test_rejects_bad_thread_counts(self, tmp_path, monkeypatch, threads):
+        """Nothing runs in-process in place of a refused count."""
+        monkeypatch.setattr(harness, "_case_worker", None)
+        (tmp_path / "cases.csv").write_text("\n".join(",".join(map(str, r)) for r in toy_rows(2)))
+        config = StudyConfig(
+            cases=str(tmp_path / "cases.csv"), arms=(10, 10, 10, 10), effect=1,
+            replications=5, seed=1,
+        )
+        with pytest.raises(ValueError, match="^threads(:| must be at least 1$)"):
+            run_study(config, threads=threads)
+
     @pytest.mark.parametrize(
         "methods, message",
         [

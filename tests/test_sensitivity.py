@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from factorial2k import ObservedData
+from factorial2k import ObservedData, _fanout
 from factorial2k.bayes import PriorSpec, draw_marginals, posterior_mean
 from factorial2k.bayes import draw_effect as draw_effect_indep
 from factorial2k.sensitivity import (
@@ -16,6 +16,7 @@ from factorial2k.sensitivity import (
 )
 
 from test_bayes import mc_se_mean
+from test_fanout import NoPool
 
 
 def quadrature_draw_mean(obs, matrix, l, prior, rho):
@@ -306,6 +307,16 @@ class TestSweep:
         ]
         assert runs[0].reports == runs[1].reports
         assert runs[0].conservative == runs[1].conservative
+
+    @pytest.mark.parametrize("threads", [0, -4, True, 2.5])
+    def test_rejects_bad_thread_counts(self, monkeypatch, trial_obs, h2, threads):
+        """Nothing runs in-process in place of a refused count."""
+        monkeypatch.setattr(_fanout, "process_pool", NoPool)
+        with pytest.raises(ValueError, match="^threads(:| must be at least 1$)"):
+            sweep(
+                trial_obs, h2, 1, PriorSpec.uniform(4), [0.5], 1000, 0.95,
+                np.random.default_rng(0), threads=threads,
+            )
 
     def test_rejects_empty_grid(self, trial_obs, h2):
         with pytest.raises(ValueError):

@@ -5,14 +5,16 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from factorial2k import CaseFileError, CellCounts, ObservedData, ResourceLimitError, StudyConfig
 from factorial2k import _checks, bayes, harness, neyman, population, sensitivity
-from factorial2k.design import ModelMatrix, build_model_matrix
+from factorial2k.design import ModelMatrix, build_model_matrix, lattice_step
 
+from helpers import ZERO_TAIL, ZERO_TAIL_LEVEL
 from test_harness import toy_rows, write_toy_config
 
 
@@ -77,6 +79,63 @@ class TestOneMessagePerCondition:
         gamma = sensitivity.gamma_ar1(0.5, 2)
         with pytest.raises(ValueError, match="association matrix is 2x2, data has 4 arms"):
             sensitivity.imputed_counts(trial_obs, pi, gamma, np.random.default_rng(0))
+
+
+class TestZeroTailLevel:
+    """The level 1 - 2^-53, whose upper tail 1 - (1 + level) / 2 rounds to
+    0, is refused by every entry point in the same words; the next level
+    down is the largest one accepted."""
+
+    LARGEST = 0.9999999999999998
+
+    def test_library_entry_points_refuse_it(self, tmp_path, trial_obs, h2):
+        prior, top = bayes.PriorSpec.uniform(4), ZERO_TAIL_LEVEL
+        rng = np.random.default_rng(0)
+        gamma = sensitivity.gamma_ar1(0.5, 4)
+        config = dict(cases=str(tmp_path / "cases.csv"), arms=(10, 10, 10, 10), effect=1,
+                      replications=5, seed=1, level=top)
+        calls = [
+            lambda: StudyConfig(**config),
+            lambda: StudyConfig(**config, methods=("bayes-indep",)),
+            lambda: neyman.confidence_interval(trial_obs, h2, 1, top),
+            lambda: bayes.exact_bounds(trial_obs.n, trial_obs.n_obs[None], h2, 1, prior, top),
+            lambda: bayes.exact_intervals(trial_obs, h2, [1, 2, 3], prior, top),
+            lambda: bayes.exact_interval(trial_obs, h2, 1, prior, top),
+            lambda: sensitivity.interval(trial_obs, h2, 1, prior, gamma, 1000, top, rng),
+            lambda: sensitivity.sweep(trial_obs, h2, 1, prior, [0.5], 1000, top, rng),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=ZERO_TAIL):
+                call()
+
+    def test_largest_level_gives_bounds_inside_the_support(self, trial_obs, h2):
+        """Both exact calls, with and without the circular window (as many
+        rows as arms at K <= 2, or fewer), warnings raised as errors.  Its
+        tails of 1.1e-16 lie below the round-off of the convolution, so the
+        two calls need not agree on a bound."""
+        assert 1.0 - (1.0 + self.LARGEST) / 2.0 > 0.0
+        rng = np.random.default_rng(61)
+        datasets = [(trial_obs, h2)]
+        for k in (1, 2, 3):
+            n = rng.integers(2, 40, size=2**k)
+            obs = ObservedData(k=k, n=n, n_obs=rng.binomial(n, rng.uniform(0.02, 0.98, size=2**k)))
+            datasets.append((obs, build_model_matrix(k)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for obs, matrix in datasets:
+                prior = bayes.PriorSpec(alpha=rng.uniform(0.05, 5, obs.n_arms),
+                                        beta=rng.uniform(0.05, 5, obs.n_arms))
+                step = lattice_step(obs.k, obs.n_units)
+                effects = list(range(1, obs.n_arms))
+                reports = bayes.exact_intervals(obs, matrix, effects, prior, self.LARGEST)
+                counts = obs.n_obs[None].repeat(obs.n_arms + 3, axis=0)
+                for l, report in zip(effects, reports):
+                    offset, pmf = bayes.predictive_pmf(obs, matrix, l, prior)
+                    support = (step * offset, step * (offset + pmf.size - 1))
+                    assert support[0] <= report.lower <= report.upper <= support[1]
+                    lower, upper = bayes.exact_bounds(obs.n, counts, matrix, l, prior, self.LARGEST)
+                    assert (support[0] <= lower).all() and (lower <= upper).all()
+                    assert (upper <= support[1]).all()
 
 
 class TestDrawBound:
