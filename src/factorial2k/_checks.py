@@ -42,6 +42,11 @@ def check_factors(k) -> None:
 
 
 def check_effect(l: int, n_arms: int) -> None:
+    """An effect index: an int or numpy integer, not a bool, in 1..J-1.
+    A plain int skips the ``numbers.Integral`` test, which costs ten times
+    as much and runs once per replication in a coverage study."""
+    if type(l) is not int and (isinstance(l, bool) or not isinstance(l, numbers.Integral)):
+        raise ValueError(f"effect index {l!r} is not an integer")
     if not 1 <= l <= n_arms - 1:
         raise ValueError(f"effect index {l} outside 1..{n_arms - 1}")
 

@@ -149,9 +149,10 @@ def coverage_experiment(
     neither reads nor advances ``rng``'s spawn counter.  The replications
     are drawn and their successes counted in row chunks of
     ``ASSIGNMENT_CELLS`` cells; every replication has the design's arm
-    sizes ``arms``.  The Neyman interval is built per replication, the
-    exact Bayes intervals of all replications in one batched call.  An
-    interval covers when lower <= true effect <= upper.
+    sizes ``arms``.  Each replication gets one :class:`ObservedData` and
+    one :func:`neyman.confidence_interval` call, which runs on Python
+    floats; the exact Bayes intervals of all replications come from one
+    batched call.  An interval covers when lower <= true effect <= upper.
     """
     # read-only, as are the count chunks below: each replication's
     # ObservedData then keeps the arms and its count row without a copy
@@ -247,12 +248,6 @@ class StudyConfig:
             cases = str((path.parent / cases).resolve()) if not os.path.isabs(cases) else cases
         elif isinstance(cases, dict):
             check_keys(cases, ("n_cases", "N", "seed"), ("cells",), f"{path}: generator spec")
-            cases = GeneratorSpec(
-                n_cases=whole_number(cases["n_cases"], "n_cases"),
-                total=whole_number(cases["N"], "N"),
-                cells=whole_number(cases.get("cells", 16), "cells"),
-                seed=whole_number(cases["seed"], "generator seed"),
-            )
         else:
             raise ValueError(f"{path}: 'cases' must be a path or a generator spec object")
         methods = raw.get("methods", list(METHODS))
@@ -262,18 +257,24 @@ class StudyConfig:
                 raise ValueError(f"{path}: '{key}' must be a JSON list, got {value!r}")
         if isinstance(level, bool) or not isinstance(level, (int, float)):
             raise ValueError(f"{path}: 'level' must be a number, got {level!r}")
-        fields = dict(
-            cases=cases,
-            arms=tuple(whole_number(a, "arms") for a in raw["arms"]),
-            effect=whole_number(raw["effect"], "effect"),
-            replications=whole_number(raw["replications"], "replications"),
-            seed=whole_number(raw["seed"], "seed"),
-            level=float(level),
-            methods=tuple(methods),
-        )
-        try:
-            return cls(**fields)
-        except ValueError as exc:  # the methods and level rules
+        try:  # the whole-number, methods and level rules
+            if isinstance(cases, dict):
+                cases = GeneratorSpec(
+                    n_cases=whole_number(cases["n_cases"], "n_cases"),
+                    total=whole_number(cases["N"], "N"),
+                    cells=whole_number(cases.get("cells", 16), "cells"),
+                    seed=whole_number(cases["seed"], "generator seed"),
+                )
+            return cls(
+                cases=cases,
+                arms=tuple(whole_number(a, "arms") for a in raw["arms"]),
+                effect=whole_number(raw["effect"], "effect"),
+                replications=whole_number(raw["replications"], "replications"),
+                seed=whole_number(raw["seed"], "seed"),
+                level=float(level),
+                methods=tuple(methods),
+            )
+        except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
 

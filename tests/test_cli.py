@@ -780,6 +780,22 @@ class TestSimulate:
         assert f"{path}: generator spec: unknown keys ['cels']" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"effect": 1.9}, "effect: 1.9 is not a whole number"),
+            ({"arms": [200, 200.5, 200, 200]}, "arms: 200.5 is not a whole number"),
+            ({"cases": {"n_cases": 2.5, "N": 40, "seed": 9}}, "n_cases: 2.5 is not a whole number"),
+        ],
+        ids=["effect", "arms", "n_cases"],
+    )
+    def test_fractional_config_value_names_the_file(self, tmp_path, capsys, override, message):
+        path = write_toy_config(tmp_path, toy_rows(1), **override)
+        argv = ["simulate", "--config", str(path), "--out-csv", str(tmp_path / "c.csv")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "c.csv").exists()
+
     def test_replications_past_the_key_bound_exit_3(self, tmp_path, capsys):
         """A replication's stream index is one uint32 spawn-key word, so a
         config asking for more replications is refused before any draw."""

@@ -566,6 +566,62 @@ class TestReplicationContract:
         run_study(config, threads=threads).write_csv(tmp_path / "coverage.csv")
         assert (tmp_path / "coverage.csv").read_bytes() == self.IMBALANCED
 
+    # the balanced study above at effects 2 and 3: each Neyman width is
+    # upper - lower, so the widths' last digits follow each effect's point
+    BY_EFFECT = {
+        2: (
+            b"case_id,method,coverage,mean_width\r\n"
+            b"1,bayes-indep,0.94,0.11795\r\n"
+            b"1,neyman,0.94,0.13741948780223512\r\n"
+            b"2,bayes-indep,0.96,0.11811250000000001\r\n"
+            b"2,neyman,0.98,0.13760616165496\r\n"
+            b"3,bayes-indep,0.94,0.11593750000000001\r\n"
+            b"3,neyman,0.98,0.13497583571222754\r\n"
+        ),
+        3: (
+            b"case_id,method,coverage,mean_width\r\n"
+            b"1,bayes-indep,1.0,0.11798750000000005\r\n"
+            b"1,neyman,1.0,0.13741948780223512\r\n"
+            b"2,bayes-indep,0.94,0.11815000000000002\r\n"
+            b"2,neyman,0.96,0.13760616165496\r\n"
+            b"3,bayes-indep,0.94,0.1159\r\n"
+            b"3,neyman,0.98,0.13497583571222752\r\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("effect", [2, 3])
+    def test_csv_bytes_of_other_effects(self, tmp_path, threads, effect):
+        fixture = data_path("cases_balanced_800.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "cases.csv").write_text("".join(fixture[:3]))
+        config = StudyConfig(
+            cases=str(tmp_path / "cases.csv"), arms=(200, 200, 200, 200), effect=effect,
+            replications=50, seed=20260810,
+        )
+        run_study(config, threads=threads).write_csv(tmp_path / "coverage.csv")
+        assert (tmp_path / "coverage.csv").read_bytes() == self.BY_EFFECT[effect]
+
+    # 3 generated K = 1 cases (4 cells, N = 400), unequal arms, 50
+    # replications, both methods
+    ONE_FACTOR = (
+        b"case_id,method,coverage,mean_width\r\n"
+        b"1,bayes-indep,1.0,0.13215\r\n"
+        b"1,neyman,1.0,0.18762722200183024\r\n"
+        b"2,bayes-indep,0.92,0.12399999999999999\r\n"
+        b"2,neyman,0.96,0.17676470520781493\r\n"
+        b"3,bayes-indep,1.0,0.13155\r\n"
+        b"3,neyman,1.0,0.1870782556650747\r\n"
+    )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_factor_csv_bytes(self, tmp_path, threads):
+        config = StudyConfig(
+            cases=GeneratorSpec(n_cases=3, total=400, cells=4, seed=311),
+            arms=(180, 220), effect=1, replications=50, seed=5150,
+        )
+        run_study(config, threads=threads).write_csv(tmp_path / "coverage.csv")
+        assert (tmp_path / "coverage.csv").read_bytes() == self.ONE_FACTOR
+
 
 class TestImbalancedStudy:
     def test_bundled_imbalanced_config(self):

@@ -81,6 +81,44 @@ class TestOneMessagePerCondition:
             sensitivity.imputed_counts(trial_obs, pi, gamma, np.random.default_rng(0))
 
 
+class TestEffectIndexType:
+    """An effect index is an int or a numpy integer.  A bool, a float or a
+    string is refused in the same words by every entry, not indexed with
+    or rounded."""
+
+    @staticmethod
+    def calls(obs, matrix, l):
+        prior = bayes.PriorSpec.uniform(4)
+        gamma = sensitivity.gamma_ar1(0.5, 4)
+        rng = np.random.default_rng(0)
+        return [
+            lambda: neyman.confidence_interval(obs, matrix, l),
+            lambda: neyman.point_estimate(obs, matrix, l),
+            lambda: bayes.exact_interval(obs, matrix, l, prior, 0.95),
+            lambda: bayes.exact_bounds(obs.n, obs.n_obs[None], matrix, l, prior, 0.95),
+            lambda: sensitivity.interval(obs, matrix, l, prior, gamma, 1000, 0.95, rng),
+        ]
+
+    @pytest.mark.parametrize(
+        "l", [True, np.True_, 1.0, np.float64(2.0), "1"],
+        ids=["bool", "numpy-bool", "float", "numpy-float", "str"],
+    )
+    def test_refused(self, trial_obs, h2, l):
+        message = f"^{re.escape(f'effect index {l!r} is not an integer')}$"
+        for call in self.calls(trial_obs, h2, l):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    @pytest.mark.parametrize("l", [np.int64(2), np.int32(2), np.uint8(2)], ids=repr)
+    def test_numpy_integers_pass(self, trial_obs, h2, l):
+        for given, plain in zip(self.calls(trial_obs, h2, l), self.calls(trial_obs, h2, 2)):
+            got, want = given(), plain()
+            if isinstance(want, tuple):  # exact_bounds
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            else:
+                assert got == want
+
+
 class TestZeroTailLevel:
     """The level 1 - 2^-53, whose upper tail 1 - (1 + level) / 2 rounds to
     0, is refused by every entry point in the same words; the next level
