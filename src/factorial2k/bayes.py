@@ -316,7 +316,9 @@ def _bounds(n, counts, signs, prior, level):
         lower[rows] = offsets + (np.cumsum(pmfs, axis=1) < tails[0]).sum(axis=1)
         at_least = np.cumsum(pmfs[:, ::-1], axis=1)[:, ::-1]  # P(X >= i)
         upper[rows] = offsets + (at_least[:, 1:] > tails[1]).sum(axis=1)
-    return lower, upper
+    # the upper quantile is never below the lower one, but near the median
+    # the two tail sums can disagree by one step of round-off at tiny levels
+    return lower, np.maximum(upper, lower)
 
 
 def _effect_laws(n, counts, signs, prior, cuts):
@@ -348,19 +350,13 @@ def _effect_laws(n, counts, signs, prior, cuts):
     # where h_j = -1 the law enters reversed: m_j - B_j ~ Beta-Binomial(m_j, b, a)
     flipped = signs < 0
     offsets = (counts * signs).sum(axis=1) - (missing * flipped).sum(axis=1)
-    # every arm's distinct laws, marked in one presence mask: arm j keys a count
-    # c as c where h_j = +1 and as n_j + 1 + c where h_j = -1, and its keys
-    # low_j..high_j take the cells from base_j on, at most 2 (N + J) cells
-    keys = counts + flipped * (n + 1)
-    low = keys.min(axis=0)
-    base = np.concatenate(([0], np.cumsum(keys.max(axis=0) - low + 1)))
-    codes = keys - low + base[:-1]
-    present = np.zeros(base[-1], dtype=bool)
-    present[codes] = True
-    distinct = np.flatnonzero(present)
-    index = np.searchsorted(distinct, codes)  # each row's law of each arm among the distinct ones
-    arm = np.searchsorted(base, distinct, side="right") - 1
-    keys = distinct - base[arm] + low[arm]
+    # every arm's distinct laws, by arm and then key: arm j keys a count c as c
+    # where h_j = +1 and as n_j + 1 + c where h_j = -1, below 2 (max n + 1)
+    stride = 2 * (int(n.max()) + 1)
+    codes = np.arange(n.size) * stride + counts + flipped * (n + 1)
+    distinct, index = np.unique(codes, return_inverse=True)
+    index = index.reshape(codes.shape)  # each row's law of each arm among the distinct ones
+    arm, keys = np.divmod(distinct, stride)
     reverse = keys > n[arm]
     values = keys - reverse * (n[arm] + 1)
     a, b = prior.alpha[arm] + values, prior.beta[arm] + n[arm] - values

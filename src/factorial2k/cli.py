@@ -74,8 +74,10 @@ def _round_sig(value):
     return value
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(_round_sig(payload), indent=2) + "\n"
+def _emit_json(command: str, payload: dict, out: str | None) -> None:
+    """Write ``command``'s JSON report, headed by the tool, version and command."""
+    report = {"tool": "factorial2k", "version": __version__, "command": command, **payload}
+    text = json.dumps(_round_sig(report), indent=2) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -241,10 +243,8 @@ def cmd_analyze(args) -> int:
         rows.append(row)
 
     _emit_json(
+        "analyze",
         {
-            "tool": "factorial2k",
-            "version": __version__,
-            "command": "analyze",
             "input": _input_echo(obs, label),
             "level": args.level,
             "prior": {"alpha": prior.alpha.tolist(), "beta": prior.beta.tolist()},
@@ -289,9 +289,6 @@ def cmd_sensitivity(args) -> int:
     rng = _substream(seed, _KEY_SWEEP, args.effect)
 
     payload = {
-        "tool": "factorial2k",
-        "version": __version__,
-        "command": "sensitivity",
         "input": _input_echo(obs, label),
         "effect": args.effect,
         "level": args.level,
@@ -338,7 +335,7 @@ def cmd_sensitivity(args) -> int:
             writer.writerow([rho, repr(report.lower), repr(report.upper), repr(report.width)])
     payload["sweep_csv"] = args.csv_out
 
-    _emit_json(payload, args.out)
+    _emit_json("sensitivity", payload, args.out)
     return EXIT_OK
 
 
@@ -348,14 +345,7 @@ def cmd_simulate(args) -> int:
         config = dataclasses.replace(config, cases=str(Path(args.cases).resolve()))
     report = harness.run_study(config, threads=_parse_threads(args.threads))
     report.write_csv(args.out_csv)
-    payload = {
-        "tool": "factorial2k",
-        "version": __version__,
-        "command": "simulate",
-        "coverage_csv": args.out_csv,
-        **report.aggregate_dict(),
-    }
-    _emit_json(payload, args.out)
+    _emit_json("simulate", {"coverage_csv": args.out_csv, **report.aggregate_dict()}, args.out)
     return EXIT_OK
 
 
@@ -367,10 +357,8 @@ def cmd_gen_cases(args) -> int:
         for case in cases:
             handle.write(",".join(str(int(c)) for c in case.counts.counts) + "\n")
     _emit_json(
+        "gen-cases",
         {
-            "tool": "factorial2k",
-            "version": __version__,
-            "command": "gen-cases",
             "cases": args.count,
             "total": args.total,
             "cells": args.cells,

@@ -53,8 +53,9 @@ class IntervalReport:
     ``"bayes-sensitivity"``.  Monte Carlo intervals carry the draw count
     (``None`` for exact ones) and, for sensitivity runs, the AR(1)
     parameter ``rho`` (``None`` for a custom association matrix).  For
-    quantile intervals the point need not sit midway, but lower <= upper
-    always holds.
+    quantile intervals the point need not sit midway.  The code that builds
+    each report guarantees lower <= upper and a nonnegative variance, so
+    the report itself checks neither.
     """
 
     effect: int
@@ -66,12 +67,6 @@ class IntervalReport:
     method: str
     mc_draws: int | None = None
     rho: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.variance < 0:
-            raise ValueError("variance must be nonnegative")
-        if self.lower > self.upper:
-            raise ValueError("interval bounds out of order")
 
     @property
     def width(self) -> float:

@@ -15,6 +15,7 @@ order, so results are byte-identical for any worker count.
 from __future__ import annotations
 
 import csv
+import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -148,14 +149,15 @@ def coverage_experiment(
     hands out r-th.  :class:`ChildStreams` seeds the children in bulk; it
     neither reads nor advances ``rng``'s spawn counter.  The replications
     are drawn and their successes counted in row chunks of
-    ``ASSIGNMENT_CELLS`` cells; every replication has the design's arm
-    sizes ``arms``.  Each replication gets one :class:`ObservedData` and
-    one :func:`neyman.confidence_interval` call, which runs on Python
-    floats; the exact Bayes intervals of all replications come from one
-    batched call.  An interval covers when lower <= true effect <= upper.
+    ``ASSIGNMENT_CELLS`` cells into one read-only (R, J) array; every
+    replication has the design's arm sizes ``arms``.  Each method makes one
+    (lower, upper) pair of (R,) arrays from it: Neyman from one
+    :class:`ObservedData` and :func:`neyman.confidence_interval` per row,
+    Bayes from one :func:`bayes.exact_bounds` call.  An interval covers
+    when lower <= true effect <= upper.
     """
-    # read-only, as are the count chunks below: each replication's
-    # ObservedData then keeps the arms and its count row without a copy
+    # read-only, as are the counts below: each replication's ObservedData
+    # then keeps the arms and its count row without a copy
     arms = read_only(check_arms(arms, case.n_units, 2**case.counts.k))
     check_replications(replications)
     methods = check_methods(methods, METHODS)
@@ -167,23 +169,21 @@ def coverage_experiment(
     true_value = float(case.true_effects[l - 1])
 
     children = ChildStreams(rng.bit_generator.seed_seq)
-    successes_by_chunk, neyman_bounds = [], []
     chunk = max(1, ASSIGNMENT_CELLS // case.n_units)
-    for start in range(0, replications, chunk):
-        # replication r gets child r whatever the chunk size
-        streams = children.streams(start, min(chunk, replications - start))
-        n_obs = observe(table, draw_assignment(arms, streams))
-        n_obs.setflags(write=False)
-        successes_by_chunk.append(n_obs)
-        if "neyman" in methods:
-            for n_obs_r in n_obs:
-                obs = ObservedData(k=table.k, n=arms, n_obs=n_obs_r)
-                report = neyman.confidence_interval(obs, matrix, l, level)
-                neyman_bounds.append((report.lower, report.upper))
-    bounds = {"neyman": np.array(neyman_bounds).T}
+    # replication r gets child r whatever the chunk size
+    draws = (
+        draw_assignment(arms, children.streams(start, min(chunk, replications - start)))
+        for start in range(0, replications, chunk)
+    )
+    counts = np.concatenate([observe(table, arm_of) for arm_of in draws])
+    counts.setflags(write=False)
+    bounds = {}
+    if "neyman" in methods:
+        datasets = (ObservedData(k=table.k, n=arms, n_obs=row) for row in counts)
+        intervals = (neyman.confidence_interval(obs, matrix, l, level) for obs in datasets)
+        bounds["neyman"] = np.array([(i.lower, i.upper) for i in intervals]).T
     if "bayes-indep" in methods:
         prior = bayes.PriorSpec.uniform(table.n_arms)
-        counts = np.concatenate(successes_by_chunk)
         bounds["bayes-indep"] = bayes.exact_bounds(arms, counts, matrix, l, prior, level)
     reports = []
     for method in methods:
@@ -205,17 +205,23 @@ def coverage_experiment(
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Inline case-generation recipe for a study config."""
+    """Inline case-generation recipe for a study config, in whole numbers."""
 
     n_cases: int
     total: int
     cells: int
     seed: int
 
+    def __post_init__(self) -> None:
+        names = {"n_cases": "n_cases", "total": "N", "cells": "cells", "seed": "generator seed"}
+        for key, name in names.items():
+            object.__setattr__(self, key, whole_number(getattr(self, key), name))
+
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Everything needed to rerun a coverage study bit-identically."""
+    """Everything needed to rerun a coverage study bit-identically; one
+    built in code follows the rules of one read from a file."""
 
     cases: str | GeneratorSpec  # fixture path or generation recipe
     arms: tuple[int, ...]
@@ -226,6 +232,12 @@ class StudyConfig:
     methods: tuple[str, ...] = METHODS
 
     def __post_init__(self) -> None:
+        if isinstance(self.level, bool) or not isinstance(self.level, numbers.Real):
+            raise ValueError(f"'level' must be a number, got {self.level!r}")
+        object.__setattr__(self, "level", float(self.level))
+        object.__setattr__(self, "arms", tuple(whole_number(a, "arms") for a in self.arms))
+        for key in ("effect", "replications", "seed"):
+            object.__setattr__(self, key, whole_number(getattr(self, key), key))
         object.__setattr__(self, "methods", check_methods(self.methods, METHODS))
         check_replications(self.replications)
         check_level(self.level)
@@ -251,28 +263,25 @@ class StudyConfig:
         else:
             raise ValueError(f"{path}: 'cases' must be a path or a generator spec object")
         methods = raw.get("methods", list(METHODS))
-        level = raw.get("level", DEFAULT_LEVEL)
         for key, value in (("arms", raw["arms"]), ("methods", methods)):
             if not isinstance(value, list):
                 raise ValueError(f"{path}: '{key}' must be a JSON list, got {value!r}")
-        if isinstance(level, bool) or not isinstance(level, (int, float)):
-            raise ValueError(f"{path}: 'level' must be a number, got {level!r}")
-        try:  # the whole-number, methods and level rules
+        try:  # the rules of GeneratorSpec and StudyConfig
             if isinstance(cases, dict):
                 cases = GeneratorSpec(
-                    n_cases=whole_number(cases["n_cases"], "n_cases"),
-                    total=whole_number(cases["N"], "N"),
-                    cells=whole_number(cases.get("cells", 16), "cells"),
-                    seed=whole_number(cases["seed"], "generator seed"),
+                    n_cases=cases["n_cases"],
+                    total=cases["N"],
+                    cells=cases.get("cells", 16),
+                    seed=cases["seed"],
                 )
             return cls(
                 cases=cases,
-                arms=tuple(whole_number(a, "arms") for a in raw["arms"]),
-                effect=whole_number(raw["effect"], "effect"),
-                replications=whole_number(raw["replications"], "replications"),
-                seed=whole_number(raw["seed"], "seed"),
-                level=float(level),
-                methods=tuple(methods),
+                arms=raw["arms"],
+                effect=raw["effect"],
+                replications=raw["replications"],
+                seed=raw["seed"],
+                level=raw.get("level", DEFAULT_LEVEL),
+                methods=methods,
             )
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc

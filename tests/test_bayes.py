@@ -427,6 +427,38 @@ class TestExactBounds:
             exact_bounds(n, counts > 2, h2, 1, prior, 0.95)
 
 
+class TestTinyLevels:
+    """At levels far below 1e-15 both bounds sit at the median, where the
+    two tail sums can disagree by one lattice step of round-off; the upper
+    bound is then raised to the lower one, never left below it."""
+
+    LEVELS = (1e-300, 1e-17, 1e-16, 2.3e-16)
+
+    def test_upper_bound_is_raised_to_the_lower_one(self):
+        prior = PriorSpec(alpha=[1, 4], beta=[1, 1])
+        lower, upper = exact_bounds([2, 3], [[1, 0]], build_model_matrix(1), 1, prior, 1e-17)
+        assert (lower.tolist(), upper.tolist()) == ([-0.2], [-0.2])
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_symmetric_laws_of_unequal_parity(self, level):
+        """K = 1 with arm sizes of unequal parity, and priors that make each
+        arm's law symmetric (alpha_j + n_obs_j = beta_j + n_j - n_obs_j): the
+        law of the effect is symmetric about a point midway between two
+        lattice values, so its median CDF is 1/2 up to round-off."""
+        h1 = build_model_matrix(1)
+        for n1 in range(2, 9):
+            for n2 in range(3 - n1 % 2, 9, 2):
+                n = np.array([n1, n2])
+                for row in np.ndindex(n1 + 1, n2 + 1):
+                    gap = n - 2 * np.array(row)  # alpha_j - beta_j
+                    prior = PriorSpec(alpha=1 + np.maximum(gap, 0), beta=1 + np.maximum(-gap, 0))
+                    lower, upper = exact_bounds(n, [row], h1, 1, prior, level)
+                    assert lower[0] <= upper[0], (n, row)
+                    obs = ObservedData(k=1, n=n, n_obs=row)
+                    [report] = exact_intervals(obs, h1, [1], prior, level)
+                    assert report.lower <= report.upper, (n, row)
+
+
 class TestCircularWindow:
     """At K <= 2, in a call with no fewer rows than arms, each row's law is
     read off a circular window that holds all but less than the cut of its

@@ -46,6 +46,18 @@ class TestAnalyze:
         assert row["bayes_indep"]["upper"] == pytest.approx(0.123, abs=5e-3)
         assert report["seed"] == 7
 
+    def test_tiny_level_keeps_bounds_in_order(self, tmp_path):
+        """At level 1e-17 both Bayes bounds sit at the median, where round-off
+        in the two tail sums can put the upper bound a lattice step below the
+        lower one."""
+        path, out = tmp_path / "tiny.json", tmp_path / "report.json"
+        path.write_text(json.dumps({"K": 1, "n": [2, 3], "n_obs": [1, 0]}))
+        argv = ["analyze", "--input", str(path), "--alpha", "1,4", "--beta", "1,1",
+                "--level", "1e-17", "--seed", "1", "--out", str(out)]
+        assert cli.main(argv) == 0
+        rows = json.loads(out.read_text())["effects"]
+        assert rows and all(r["bayes_indep"]["lower"] <= r["bayes_indep"]["upper"] for r in rows)
+
     def test_seed_reproduces_byte_identical_output(self):
         args = ("analyze", "--input", AHLUWALIA, "--seed", "7")
         first = run_cli(*args)

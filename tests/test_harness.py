@@ -557,14 +557,20 @@ class TestReplicationContract:
         b"3,neyman,0.94,0.14303033836827175\r\n"
     )
 
+    # a one-method study writes the header and exactly that method's rows
+    @pytest.mark.parametrize(
+        "methods", [("neyman",), ("bayes-indep",), harness.METHODS], ids=["neyman", "bayes", "both"]
+    )
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_imbalanced_csv_bytes(self, tmp_path, threads):
+    def test_imbalanced_csv_bytes(self, tmp_path, threads, methods):
         config = StudyConfig(
             cases=GeneratorSpec(n_cases=3, total=800, cells=16, seed=4207),
-            arms=(150, 150, 250, 250), effect=1, replications=50, seed=9146,
+            arms=(150, 150, 250, 250), effect=1, replications=50, seed=9146, methods=methods,
         )
         run_study(config, threads=threads).write_csv(tmp_path / "coverage.csv")
-        assert (tmp_path / "coverage.csv").read_bytes() == self.IMBALANCED
+        header, *rows = self.IMBALANCED.splitlines(keepends=True)
+        expected = [row for row in rows if row.split(b",")[1].decode() in methods]
+        assert (tmp_path / "coverage.csv").read_bytes() == b"".join([header, *expected])
 
     # the balanced study above at effects 2 and 3: each Neyman width is
     # upper - lower, so the widths' last digits follow each effect's point

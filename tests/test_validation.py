@@ -380,6 +380,43 @@ class TestNoSilentCoercion:
         path.write_text(json.dumps(raw))
         assert StudyConfig.from_json(path).cases == harness.GeneratorSpec(3, 40, 16, 9)
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"replications": 2.5}, "replications: 2.5 is not a whole number"),
+            ({"seed": 1.5}, "seed: 1.5 is not a whole number"),
+            ({"effect": 1.5}, "effect: 1.5 is not a whole number"),
+            ({"arms": (10, 10.5, 10, 10)}, "arms: 10.5 is not a whole number"),
+            ({"level": "0.9"}, "'level' must be a number, got '0.9'"),
+        ],
+        ids=["replications", "seed", "effect", "arms", "level"],
+    )
+    def test_study_config_in_code_follows_the_file_rules(self, tmp_path, override, message):
+        fields = dict(cases=str(tmp_path / "cases.csv"), arms=(10, 10, 10, 10), effect=1,
+                      replications=5, seed=1)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StudyConfig(**{**fields, **override})
+
+    @pytest.mark.parametrize(
+        "field, name", [("n_cases", "n_cases"), ("total", "N"), ("cells", "cells"),
+                        ("seed", "generator seed")]
+    )
+    def test_generator_spec_in_code_follows_the_file_rules(self, field, name):
+        fields = {"n_cases": 2, "total": 40, "cells": 16, "seed": 9, field: 2.5}
+        with pytest.raises(ValueError, match=f"^{name}: 2.5 is not a whole number$"):
+            harness.GeneratorSpec(**fields)
+
+    def test_config_in_code_keeps_integral_floats(self):
+        spec = harness.GeneratorSpec(n_cases=2.0, total=np.int64(40), cells=16.0, seed=9.0)
+        assert spec == harness.GeneratorSpec(2, 40, 16, 9)
+        config = StudyConfig(cases=spec, arms=np.array([10, 10, 10, 10]), effect=1.0,
+                             replications=5.0, seed=np.uint64(7), level=np.float64(0.9))
+        assert (config.arms, config.effect, config.replications, config.seed) == (
+            (10, 10, 10, 10), 1, 5, 7
+        )
+        assert all(type(v) is int for v in (*config.arms, config.effect, config.seed))
+        assert type(config.level) is float
+
 
 class TestCheckArms:
     """Arm sizes pass through whole_numbers and are summed as Python ints."""
