@@ -21,7 +21,7 @@ from typing import Collection, Iterator
 
 import numpy as np
 
-from ._checks import check_arms, check_factors, read_only, whole_numbers
+from ._checks import check_arms, check_counts, check_factors, read_only, whole_numbers
 from .errors import ResourceLimitError
 from .population import PotentialTable
 
@@ -43,7 +43,9 @@ class ObservedData:
 
     The arm sizes follow :func:`check_arms`, with J = 2^K of them.  Both
     vectors are kept as read-only int64 arrays; a writable array passed in
-    is copied, not frozen.
+    is copied, not frozen.  Each construction checks its arguments;
+    :meth:`rows` builds many datasets of one design from one checked
+    count array.
     """
 
     k: int
@@ -61,6 +63,29 @@ class ObservedData:
             raise ValueError("success counts must satisfy 0 <= n_obs <= n")
         object.__setattr__(self, "n", read_only(n))
         object.__setattr__(self, "n_obs", read_only(n_obs))
+
+    @classmethod
+    def rows(cls, k: int, n, counts) -> Iterator[ObservedData]:
+        """One dataset per row of the (R, J) success counts ``counts``, all
+        with the arm sizes ``n``.
+
+        K, the arm sizes (:func:`check_arms`) and the whole count array
+        (:func:`check_counts`) are checked here, once, so each dataset is
+        built without running :meth:`__post_init__` again.  The datasets
+        share the read-only arm sizes, and each keeps its count row as a
+        read-only view; a writable argument is copied once, not frozen.
+        """
+        check_factors(k)
+        n = read_only(check_arms(n, n_arms=2**k))
+        counts = read_only(check_counts(counts, n))
+
+        def datasets() -> Iterator[ObservedData]:
+            for row in counts:
+                obs = object.__new__(cls)
+                obs.__dict__.update(k=k, n=n, n_obs=row)
+                yield obs
+
+        return datasets()
 
     @property
     def n_arms(self) -> int:

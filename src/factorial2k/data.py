@@ -11,6 +11,8 @@ Bundled assets:
   coverage study configs.
 * ``analysis_report.schema.json`` — JSON schema the ``analyze`` report
   conforms to.
+* ``simulate_report.schema.json`` — JSON schema the ``simulate`` report
+  conforms to.
 """
 
 from importlib.resources import files

@@ -35,7 +35,6 @@ from ._checks import (
     csv_number,
     read_csv_rows,
     read_json_object,
-    read_only,
     whole_number,
 )
 from ._fanout import fan_out
@@ -151,14 +150,13 @@ def coverage_experiment(
     are drawn and their successes counted in row chunks of
     ``ASSIGNMENT_CELLS`` cells into one read-only (R, J) array; every
     replication has the design's arm sizes ``arms``.  Each method makes one
-    (lower, upper) pair of (R,) arrays from it: Neyman from one
-    :class:`ObservedData` and :func:`neyman.confidence_interval` per row,
-    Bayes from one :func:`bayes.exact_bounds` call.  An interval covers
-    when lower <= true effect <= upper.
+    (lower, upper) pair of (R,) arrays from it: Neyman from
+    :meth:`ObservedData.rows`, which checks the array once, and one
+    :func:`neyman.confidence_interval` per row, Bayes from one
+    :func:`bayes.exact_bounds` call.  An interval covers when
+    lower <= true effect <= upper.
     """
-    # read-only, as are the counts below: each replication's ObservedData
-    # then keeps the arms and its count row without a copy
-    arms = read_only(check_arms(arms, case.n_units, 2**case.counts.k))
+    arms = check_arms(arms, case.n_units, 2**case.counts.k)
     check_replications(replications)
     methods = check_methods(methods, METHODS)
     if not isinstance(rng.bit_generator, np.random.PCG64):
@@ -176,10 +174,10 @@ def coverage_experiment(
         for start in range(0, replications, chunk)
     )
     counts = np.concatenate([observe(table, arm_of) for arm_of in draws])
-    counts.setflags(write=False)
+    counts.setflags(write=False)  # so the Neyman datasets view its rows, not a copy
     bounds = {}
     if "neyman" in methods:
-        datasets = (ObservedData(k=table.k, n=arms, n_obs=row) for row in counts)
+        datasets = ObservedData.rows(table.k, arms, counts)
         intervals = (neyman.confidence_interval(obs, matrix, l, level) for obs in datasets)
         bounds["neyman"] = np.array([(i.lower, i.upper) for i in intervals]).T
     if "bayes-indep" in methods:

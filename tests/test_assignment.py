@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 from factorial2k import (
+    ObservedData,
     PotentialTable,
     ResourceLimitError,
     draw_assignment,
@@ -97,6 +98,68 @@ class TestObserve:
             observe(table, a)
         with pytest.raises(ValueError, match=message):  # an arm vector is no batch
             observe(table, draw_assignment(np.array([2, 2, 2, 2]), [rng])[0])
+
+
+class TestObservedDataRows:
+    """``ObservedData.rows`` checks a design's arm sizes and its (R, J) count
+    array once and builds one dataset per row without checking it again."""
+
+    COUNT_MESSAGE = (
+        "success counts: row 1 is {}; each must be a whole number from 0 to its arm "
+        "size in [10, 10, 10, 10]"
+    )
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rows_equal_single_datasets_and_share_memory(self, k):
+        rng = np.random.default_rng(80 + k)
+        n = rng.integers(2, 50, size=2**k)
+        counts = rng.binomial(n, 0.4, size=(7, 2**k))
+        counts.setflags(write=False)
+        datasets = list(ObservedData.rows(k, n, counts))
+        assert len(datasets) == 7
+        for obs, row in zip(datasets, counts):
+            single = ObservedData(k=k, n=n, n_obs=row)
+            assert obs.k == single.k
+            for got, want in ((obs.n, single.n), (obs.n_obs, single.n_obs)):
+                assert got.dtype == want.dtype == np.int64
+                assert np.array_equal(got, want)
+                assert not got.flags.writeable
+            assert np.shares_memory(obs.n_obs, counts)  # a view of its row, not a copy
+            assert obs.n is datasets[0].n
+        assert n.flags.writeable  # the caller's arms were copied, not frozen
+
+    def test_writable_counts_are_copied_once(self):
+        n, counts = np.array([10, 10]), np.array([[1, 2], [3, 4]])
+        datasets = list(ObservedData.rows(1, n, counts))
+        assert counts.flags.writeable
+        assert not np.shares_memory(datasets[0].n_obs, counts)
+        assert datasets[0].n_obs.base is datasets[1].n_obs.base
+
+    def test_zero_rows_yield_nothing(self):
+        assert list(ObservedData.rows(2, [10, 10, 10, 10], np.empty((0, 4), dtype=np.int64))) == []
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ([[1, 2, 3, 4], [5, 11, 0, 0]], COUNT_MESSAGE.format("[5, 11, 0, 0]")),
+            ([[1, 2, 3, 4], [5, -1, 0, 0]], COUNT_MESSAGE.format("[5, -1, 0, 0]")),
+            (
+                [[1.0, 2.0, 3.0, 4.0], [5.0, 2.5, 0.0, 0.0]],
+                COUNT_MESSAGE.format("[5.0, 2.5, 0.0, 0.0]"),
+            ),
+            ([[1, 2, 3]], "success counts must form an (R, 4) array, got shape (1, 3)"),
+        ],
+        ids=["above-arm", "negative", "fractional", "wrong-columns"],
+    )
+    def test_rejects_bad_counts(self, counts, message):
+        with pytest.raises(ValueError) as info:
+            list(ObservedData.rows(2, [10, 10, 10, 10], np.array(counts)))
+        assert str(info.value) == message
+
+    def test_rejects_an_arm_of_one_unit(self):
+        with pytest.raises(ValueError) as info:
+            list(ObservedData.rows(1, [1, 10], np.array([[0, 1]])))
+        assert str(info.value) == "every arm needs at least 2 units"
 
 
 class TestEnumerateAssignments:

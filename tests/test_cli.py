@@ -750,6 +750,23 @@ class TestSimulate:
             assert "frac_coverage_above_0.96" in stats
             assert "frac_coverage_below_0.94" in stats
 
+    @pytest.mark.parametrize("methods", [["neyman"], ["bayes-indep"], ["neyman", "bayes-indep"]])
+    def test_report_schema(self, tmp_path, methods):
+        """The report validates against the bundled schema for every method
+        set, and a report missing one aggregate does not."""
+        config = write_toy_config(tmp_path, toy_rows(2), replications=10, methods=methods)
+        out_csv, out_json = tmp_path / "c.csv", tmp_path / "c.json"
+        argv = ["simulate", "--config", str(config), "--out-csv", str(out_csv),
+                "--out", str(out_json), "--threads", "1"]
+        assert cli.main(argv) == 0
+        report = json.loads(out_json.read_text())
+        schema = json.loads(data_path("simulate_report.schema.json").read_text())
+        jsonschema.validate(report, schema)
+        assert list(report["methods"]) == methods
+        del report["methods"][methods[-1]]["frac_coverage_below_0.94"]
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, schema)
+
     def test_thread_counts_agree(self, tmp_path):
         config = write_toy_config(tmp_path, toy_rows(4))
         csv_one = tmp_path / "one.csv"

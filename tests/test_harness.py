@@ -215,6 +215,33 @@ class TestCoverageExperiment:
         coverage_experiment(toy_case(), arms, 1, 5, 0.95, ["neyman"], np.random.default_rng(0))
         assert arms.flags.writeable
 
+    def test_neyman_rows_are_checked_once(self, monkeypatch):
+        """The Neyman datasets come from ``ObservedData.rows``, so no
+        replication runs ``ObservedData.__post_init__``; each replication
+        still makes one ``neyman.confidence_interval`` call through the
+        module attribute, which the benchmark's span recorder wraps."""
+        calls = {"post_init": 0, "neyman": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            ObservedData, "__post_init__", counted("post_init", ObservedData.__post_init__)
+        )
+        monkeypatch.setattr(
+            neyman, "confidence_interval", counted("neyman", neyman.confidence_interval)
+        )
+        [report] = coverage_experiment(
+            toy_case(), np.array([10, 10, 10, 10]), 1, 50, 0.95, ["neyman"],
+            np.random.default_rng(8),
+        )
+        assert report.replications == 50
+        assert calls == {"post_init": 0, "neyman": 50}
+
     @pytest.mark.parametrize(
         "methods, message",
         [

@@ -93,6 +93,22 @@ def numpy_reference(obs, matrix, l, level):
     return point, variance, point - half, point + half
 
 
+def float_reference(obs, matrix, l, level):
+    """Point, variance, lower and upper from the module docstring's
+    formulas: p_j = n_obs_j / n_j, each sum over the arms in a Python-float
+    loop, left to right."""
+    k, h = obs.k, matrix.entries[:, l].tolist()
+    p = [s / n for s, n in zip(obs.n_obs.tolist(), obs.n.tolist())]
+    point_sum = variance_sum = 0.0
+    for h_j, p_j, n_j in zip(h, p, obs.n.tolist()):
+        point_sum += h_j * p_j
+        variance_sum += p_j * (1.0 - p_j) / (n_j - 1)
+    point = 2.0 ** -(k - 1) * point_sum
+    variance = 4.0 ** -(k - 1) * variance_sum
+    half = NormalDist().inv_cdf(0.5 + level / 2.0) * math.sqrt(variance)
+    return point, variance, point - half, point + half
+
+
 def random_datasets(rng, k, count):
     """``count`` random (data, effect, level) triples with arms of 2-400
     units and arm rates spread over [0, 1]."""
@@ -138,6 +154,19 @@ class TestFloatPath:
             sizes = (point_size, report.variance, point_size + half, point_size + half)
             for value, want, size in zip(got, numpy_reference(obs, matrix, l, level), sizes):
                 assert abs(value - want) <= 2**k * math.ulp(size)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_bits_of_left_to_right_float_sums(self, k):
+        """Every value equals, bit for bit, the module docstring's formulas
+        summed on Python floats over the arms, left to right."""
+        matrix = build_model_matrix(k)
+        rng = np.random.default_rng(2100 + k)
+        for obs, l, level in random_datasets(rng, k, 300):
+            report = confidence_interval(obs, matrix, l, level)
+            want = float_reference(obs, matrix, l, level)
+            assert (report.point, report.variance, report.lower, report.upper) == want
+            assert point_estimate(obs, matrix, l) == want[0]
+            assert variance_estimate(obs) == want[1]
 
     def test_no_numpy_in_the_module(self):
         source = Path(neyman.__file__).read_text()
