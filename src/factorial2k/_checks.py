@@ -194,25 +194,22 @@ def read_only(array: np.ndarray) -> np.ndarray:
 
 def check_counts(counts, n: np.ndarray) -> np.ndarray:
     """Success counts of many datasets with the arm sizes ``n``, as an
-    (R, J) int64 array: whole numbers with 0 <= counts[r, j] <= n[j].  One
-    vectorized check; a fault names the first bad row."""
-    values = np.asarray(counts)
+    (R, J) int64 array: whole numbers under the rule of :func:`whole_numbers`,
+    with 0 <= counts[r, j] <= n[j].  A count outside its arm names the first
+    row that holds one."""
+    values = whole_numbers(counts, "success counts")
     if values.ndim != 2 or values.shape[1] != n.size:
         raise ValueError(
             f"success counts must form an (R, {n.size}) array, got shape {values.shape}"
         )
-    if values.dtype.kind not in "iuf":
-        raise ValueError(f"success counts must be numbers, got dtype {values.dtype}")
     bad = (values < 0) | (values > n)
-    if values.dtype.kind == "f":
-        bad |= values != np.floor(values)  # fractions, and NaN
     if bad.any():
         row = int(bad.any(axis=1).argmax())
         raise ValueError(
             f"success counts: row {row} is {values[row].tolist()}; each must be a whole "
             f"number from 0 to its arm size in {n.tolist()}"
         )
-    return values.astype(np.int64, copy=False)
+    return values
 
 
 def whole_number(value, name: str) -> int:

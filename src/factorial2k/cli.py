@@ -9,9 +9,10 @@ Subcommands::
 
 Every command is a pure function of its flags, input files, and seed:
 reports carry no timestamps, floats are rounded reproducibly, and all
-randomness funnels through the single ``--seed`` flag (a random seed is
-drawn and echoed when the flag is absent).  Exit codes: 0 success, 2
-validation failure, 3 resource limit.
+randomness funnels through the single ``--seed`` flag.  When the flag is
+absent, a command that draws random numbers draws a seed and echoes it;
+``analyze`` without ``--rho-grid`` draws none and echoes no seed.  Exit
+codes: 0 success, 2 validation failure, 3 resource limit.
 """
 
 from __future__ import annotations
@@ -214,7 +215,8 @@ def cmd_analyze(args) -> int:
     obs, label = _load_input(args)
     matrix = build_model_matrix(obs.k)
     prior = _parse_prior(args.alpha, args.beta, obs.n_arms)
-    seed = _parse_seed(args.seed)
+    # the exact intervals draw nothing: without --seed, only a sweep draws one
+    seed = None if args.seed is None and args.rho_grid is None else _parse_seed(args.seed)
     effects = _parse_effects(args.effects, obs.n_arms)
     grid = None if args.rho_grid is None else parse_rho_grid(args.rho_grid)
     if grid is None and args.sweep_draws is not None:
@@ -236,24 +238,44 @@ def cmd_analyze(args) -> int:
                 threads=threads,
             )
             row["sensitivity"] = {
-                "draws_per_rho": draws,
-                "conservative": _sweep_row(result.conservative),
+                **_sweep_block(result),
                 "intervals": [_sweep_row(r) for r in result.reports],
             }
         rows.append(row)
 
-    _emit_json(
-        "analyze",
-        {
-            "input": _input_echo(obs, label),
-            "level": args.level,
-            "prior": {"alpha": prior.alpha.tolist(), "beta": prior.beta.tolist()},
-            "seed": seed,
-            "effects": rows,
-        },
-        args.out,
-    )
+    head = _report_head(args, obs, label, prior, seed)
+    _emit_json("analyze", {**head, "effects": rows}, args.out)
     return EXIT_OK
+
+
+def _report_head(args, obs: ObservedData, label: str | None, prior, seed, **extra) -> dict:
+    """The input, ``extra``, level, prior and seed echoed at the head of an
+    ``analyze`` or ``sensitivity`` report; no seed when none was used."""
+    echo = {"K": obs.k, "n": obs.n.tolist(), "n_obs": obs.n_obs.tolist()}
+    if label is not None:
+        echo["label"] = label
+    head = {
+        "input": echo,
+        **extra,
+        "level": args.level,
+        "prior": {"alpha": prior.alpha.tolist(), "beta": prior.beta.tolist()},
+    }
+    if seed is not None:
+        head["seed"] = seed
+    return head
+
+
+def _sweep_block(result: sensitivity.SweepResult) -> dict:
+    """The summary of a sweep, the same for both commands; a custom
+    association is a one-row sweep whose row has no rho."""
+    conservative = result.conservative
+    return {
+        "association": "custom" if conservative.rho is None else "ar1",
+        "draws_per_rho": conservative.mc_draws,
+        "grid_size": len(result.reports),
+        "posterior_mean": conservative.point,
+        "conservative": _sweep_row(conservative),
+    }
 
 
 def _sweep_row(report: IntervalReport) -> dict:
@@ -263,13 +285,6 @@ def _sweep_row(report: IntervalReport) -> dict:
         "upper": report.upper,
         "width": report.width,
     }
-
-
-def _input_echo(obs: ObservedData, label: str | None) -> dict:
-    echo = {"K": obs.k, "n": obs.n.tolist(), "n_obs": obs.n_obs.tolist()}
-    if label is not None:
-        echo["label"] = label
-    return echo
 
 
 def load_gamma_csv(path: str) -> sensitivity.GammaStructure:
@@ -287,54 +302,32 @@ def cmd_sensitivity(args) -> int:
     prior = _parse_prior(args.alpha, args.beta, obs.n_arms)
     seed = _parse_seed(args.seed)
     rng = _substream(seed, _KEY_SWEEP, args.effect)
-
-    payload = {
-        "input": _input_echo(obs, label),
-        "effect": args.effect,
-        "level": args.level,
-        "prior": {"alpha": prior.alpha.tolist(), "beta": prior.beta.tolist()},
-        "seed": seed,
-    }
     if args.gamma_csv is not None:
         structure = load_gamma_csv(args.gamma_csv)
         _parse_threads(args.threads)  # checked alike, though one interval runs here
         report = sensitivity.interval(
             obs, matrix, args.effect, prior, structure, args.draws, args.level, rng
         )
-        reports = [report]
-        payload.update(
-            {
-                "association": "custom",
-                "draws": args.draws,
-                "interval": _sweep_row(report),
-            }
-        )
+        result = sensitivity.SweepResult(reports=[report], conservative=report)
     else:
         grid = parse_rho_grid(args.grid, "--grid")
         result = sensitivity.sweep(
             obs, matrix, args.effect, prior, grid, args.draws, args.level, rng,
             threads=_parse_threads(args.threads),
         )
-        reports = result.reports
-        conservative = result.conservative
-        payload.update(
-            {
-                "association": "ar1",
-                "draws_per_rho": args.draws,
-                "grid_size": int(grid.size),
-                "posterior_mean": conservative.point,
-                "conservative": _sweep_row(conservative),
-            }
-        )
 
     with open(args.csv_out, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["rho", "lower", "upper", "width"])
-        for report in reports:
+        for report in result.reports:
             rho = "" if report.rho is None else repr(report.rho)
             writer.writerow([rho, repr(report.lower), repr(report.upper), repr(report.width)])
-    payload["sweep_csv"] = args.csv_out
 
+    payload = {
+        **_report_head(args, obs, label, prior, seed, effect=args.effect),
+        **_sweep_block(result),
+        "sweep_csv": args.csv_out,
+    }
     _emit_json("sensitivity", payload, args.out)
     return EXIT_OK
 
@@ -389,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", default="1", help="prior alpha (scalar or comma list per arm)")
         p.add_argument("--beta", default="1", help="prior beta (scalar or comma list per arm)")
         p.add_argument("--level", type=float, default=0.95, help="interval level (default 0.95)")
-        p.add_argument("--seed", help="64-bit seed; random (and echoed) if omitted")
+        p.add_argument("--seed", help="64-bit seed; random (and echoed) if omitted and needed")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         add_threads_flag(p)
 

@@ -9,10 +9,10 @@ Bundled assets:
   case.
 * ``study_balanced.json`` / ``study_imbalanced.json`` — ready-to-run
   coverage study configs.
-* ``analysis_report.schema.json`` — JSON schema the ``analyze`` report
-  conforms to.
-* ``simulate_report.schema.json`` — JSON schema the ``simulate`` report
-  conforms to.
+* ``analysis_report.schema.json``, ``sensitivity_report.schema.json``,
+  ``simulate_report.schema.json`` and ``gen_cases_report.schema.json`` —
+  JSON schemas the reports of ``analyze``, ``sensitivity``, ``simulate``
+  and ``gen-cases`` conform to.
 """
 
 from importlib.resources import files

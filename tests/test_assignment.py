@@ -145,7 +145,7 @@ class TestObservedDataRows:
             ([[1, 2, 3, 4], [5, -1, 0, 0]], COUNT_MESSAGE.format("[5, -1, 0, 0]")),
             (
                 [[1.0, 2.0, 3.0, 4.0], [5.0, 2.5, 0.0, 0.0]],
-                COUNT_MESSAGE.format("[5.0, 2.5, 0.0, 0.0]"),
+                "success counts: 2.5 is not a whole number",
             ),
             ([[1, 2, 3]], "success counts must form an (R, 4) array, got shape (1, 3)"),
         ],

@@ -17,6 +17,12 @@ from test_fanout import NoPool
 from test_harness import toy_rows, write_toy_config
 
 AHLUWALIA = data_path("ahluwalia.json")
+# The sweep summary both `analyze --rho-grid` and `sensitivity` write, in order.
+SWEEP_BLOCK_KEYS = ["association", "draws_per_rho", "grid_size", "posterior_mean", "conservative"]
+
+
+def report_schema(name: str) -> dict:
+    return json.loads(data_path(f"{name}_report.schema.json").read_text())
 
 
 def run_cli(*args, cwd=None):
@@ -65,11 +71,22 @@ class TestAnalyze:
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
 
-    def test_random_seed_is_echoed(self):
-        cp = run_cli("analyze", "--input", AHLUWALIA, "--effects", "1")
-        report = json.loads(cp.stdout)
-        assert isinstance(report["seed"], int)
-        assert 0 <= report["seed"] < 2**64
+    def test_seedless_runs_are_byte_identical(self, capsys):
+        """Without a sweep ``analyze`` draws no random number, so without
+        ``--seed`` it draws no seed and echoes none."""
+        outputs = []
+        for _ in range(2):
+            assert cli.main(["analyze", "--input", str(AHLUWALIA), "--effects", "1"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "seed" not in json.loads(outputs[0])
+
+    def test_seedless_sweep_echoes_a_drawn_seed(self, capsys):
+        argv = ["analyze", "--input", str(AHLUWALIA), "--effects", "1", "--rho-grid", "0",
+                "--sweep-draws", "1000", "--threads", "1"]
+        assert cli.main(argv) == 0
+        seed = json.loads(capsys.readouterr().out)["seed"]
+        assert isinstance(seed, int) and 0 <= seed < 2**64
 
     def test_zero_successes(self, tmp_path):
         path = tmp_path / "zero.json"
@@ -100,6 +117,8 @@ class TestAnalyze:
         schema = json.loads(data_path("analysis_report.schema.json").read_text())
         jsonschema.validate(report, schema)
         block = report["effects"][0]["sensitivity"]
+        assert list(block) == [*SWEEP_BLOCK_KEYS, "intervals"]
+        assert [block[key] for key in SWEEP_BLOCK_KEYS[:3]] == ["ar1", 5000, 2]
         assert [row["rho"] for row in block["intervals"]] == [0.0, 0.5]
         assert block["conservative"]["width"] == max(r["width"] for r in block["intervals"])
 
@@ -139,7 +158,7 @@ class TestAnalyzeBytes:
         ),
         "trial-3,1-sweep": (
             ["--effects", "3,1", "--rho-grid", "0:0.2:0.1", "--sweep-draws", "1000"],
-            2609, "da5b0350902f1de6b1603b7c94887c4eabf9b5778b31d21b8590e69783d011ae",
+            2793, "2f8adb2cf5fcad157b0931a7bb32339391e46349b65e0784e3bc9b048b8407a7",
         ),
         "k3-all": (
             None, 2799, "b94414100c56a8b604f57fc4d580d738e4c7311c89c779dcc9a14952f0efda31",
@@ -184,6 +203,40 @@ class TestSensitivityBytes:
         for name, (length, digest) in (("sweep.csv", self.CSV), ("report.json", self.JSON)):
             blob = (tmp_path / name).read_bytes()
             assert (len(blob), hashlib.sha256(blob).hexdigest()) == (length, digest), blob.decode()
+
+
+@pytest.mark.parametrize("name", ["analysis", "sensitivity", "simulate", "gen_cases"])
+def test_bundled_schema_is_valid(name):
+    jsonschema.Draft202012Validator.check_schema(report_schema(name))
+
+
+class TestSweepBlock:
+    """``analyze --rho-grid`` and ``sensitivity`` summarize a sweep with one
+    block: both read the stream (seed, 2, l), so at one seed they write the
+    same block, and the per-rho rows of ``analyze`` are the ``sensitivity``
+    CSV rows at 6 significant digits."""
+
+    def test_analyze_block_is_the_sensitivity_block(self, tmp_path):
+        analyze_out, sweep_out, csv_out = (tmp_path / name for name in ("a.json", "s.json", "s.csv"))
+        common = ["--input", str(AHLUWALIA), "--seed", "7", "--threads", "1"]
+        assert cli.main([
+            "analyze", *common, "--effects", "2", "--rho-grid", "0:0.04:0.01",
+            "--sweep-draws", "2000", "--out", str(analyze_out),
+        ]) == 0
+        assert cli.main([
+            "sensitivity", *common, "--effect", "2", "--grid", "0:0.04:0.01", "--draws", "2000",
+            "--csv-out", str(csv_out), "--out", str(sweep_out),
+        ]) == 0
+        block = json.loads(analyze_out.read_text())["effects"][0]["sensitivity"]
+        intervals = block.pop("intervals")
+        report = json.loads(sweep_out.read_text())
+        assert list(block) == SWEEP_BLOCK_KEYS
+        assert block == {key: report[key] for key in SWEEP_BLOCK_KEYS}
+        rows = [line.split(",") for line in csv_out.read_text().splitlines()[1:]]
+        assert len(rows) == block["grid_size"] == 5
+        assert [list(row.values()) for row in intervals] == [
+            [float(f"{float(v):.6g}") for v in row] for row in rows
+        ]
 
 
 class TestZeroTailLevel:
@@ -252,12 +305,35 @@ class TestSensitivity:
         assert cp.returncode == 0, cp.stderr
         report = json.loads(cp.stdout)
         assert report["association"] == "custom"
-        interval = report["interval"]
+        interval = report["conservative"]
         assert interval["lower"] < interval["upper"]
         lines = csv_out.read_text().strip().splitlines()
         assert lines[0] == "rho,lower,upper,width"
         assert len(lines) == 2
         assert lines[1].startswith(",")  # no rho for a custom matrix
+
+    @pytest.mark.parametrize("association", ["ar1", "custom"])
+    def test_report_schema(self, tmp_path, association):
+        """Both associations write one layout, which the bundled schema
+        checks: a custom matrix is a one-row sweep whose row has no rho."""
+        gamma = tmp_path / "gamma.csv"
+        gamma.write_text("\n".join(",".join(["0.5"] * 4) for _ in range(4)) + "\n")
+        sweep = ["--grid", "0,0.5"] if association == "ar1" else ["--gamma-csv", str(gamma)]
+        out = tmp_path / "report.json"
+        argv = [
+            "sensitivity", "--input", str(AHLUWALIA), "--effect", "2", "--draws", "1000",
+            "--seed", "3", "--threads", "1", "--csv-out", str(tmp_path / "s.csv"),
+            "--out", str(out), *sweep,
+        ]
+        assert cli.main(argv) == 0
+        report, schema = json.loads(out.read_text()), report_schema("sensitivity")
+        jsonschema.validate(report, schema)
+        assert list(report)[-6:] == [*SWEEP_BLOCK_KEYS, "sweep_csv"]
+        grid_size = 2 if association == "ar1" else 1
+        assert (report["association"], report["grid_size"]) == (association, grid_size)
+        report["conservative"]["rho"] = None if association == "ar1" else 0.5
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, schema)
 
     def test_invalid_gamma_matrix_exits_2(self, tmp_path):
         gamma = tmp_path / "gamma.csv"
@@ -949,6 +1025,11 @@ class TestGenCases:
         run_cli("gen-cases", "--count", "5", "--total", "40", "--seed", "6", "--out", first)
         run_cli("gen-cases", "--count", "5", "--total", "40", "--seed", "6", "--out", second)
         assert first.read_text() == second.read_text()
+
+    def test_report_schema(self, tmp_path, capsys):
+        argv = ["gen-cases", "--count", "3", "--total", "40", "--cells", "4", "--seed", "2"]
+        assert cli.main([*argv, "--out", str(tmp_path / "cases.csv")]) == 0
+        jsonschema.validate(json.loads(capsys.readouterr().out), report_schema("gen_cases"))
 
     def test_zero_total_exits_2(self, tmp_path):
         cp = run_cli(

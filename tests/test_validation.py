@@ -324,6 +324,27 @@ class TestNoSilentCoercion:
         monkeypatch.setattr(_checks, "whole_number", scanned)
         obs = ObservedData(k=1, n=np.array([10, 12]), n_obs=np.array([3, 4], dtype=np.int32))
         assert obs.n_obs.dtype == np.int64
+        [row] = ObservedData.rows(1, np.array([10, 12]), np.array([[3, 4]]))
+        assert row.n_obs.tolist() == [3, 4]
+
+    @pytest.mark.parametrize(
+        "row, bad",
+        [([True, 3], True), (np.array([True, False]), True), ([1.5, 3], 1.5),
+         ([float("nan"), 3], float("nan"))],
+        ids=["true", "bool-array", "fraction", "nan"],
+    )
+    @pytest.mark.parametrize("entry", ["ObservedData", "ObservedData.rows", "exact_bounds"])
+    def test_success_counts_follow_one_rule(self, entry, row, bad):
+        """A dataset, a batch of count rows and the exact bounds refuse the
+        same success counts in the same words."""
+        n, rows = [5, 5], row[None] if isinstance(row, np.ndarray) else [row]
+        with pytest.raises(ValueError, match=f"^success counts: {bad!r} is not a whole number$"):
+            if entry == "ObservedData":
+                ObservedData(k=1, n=n, n_obs=row)
+            elif entry == "ObservedData.rows":
+                list(ObservedData.rows(1, n, rows))
+            else:
+                bayes.exact_bounds(n, rows, build_model_matrix(1), 1, bayes.PriorSpec.uniform(2), 0.9)
 
     def test_case_file_keeps_integral_floats(self, tmp_path):
         as_ints = tmp_path / "ints.csv"
