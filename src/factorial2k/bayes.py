@@ -36,25 +36,28 @@ so a row costs one product and one inverse FFT.
 
 Before any transform, each arm's law loses the tail entries whose
 cumulative mass lies below ``TRIM`` times the tail probability its bound
-is compared with.  At K <= 2, in a call with at least as many rows as
-arms (a coverage case, not one dataset's effects), the one stage then
-convolves on a circle rather than over the whole trimmed support: a
-Chernoff bound on each row's untrimmed law sizes a window that leaves
-out less than that same cut at each end, and each arm's law is placed
-on the circle so that the window's cells come out of the inverse
-transform in order.  Mass beyond the window wraps onto it.  For a
-balanced coverage case the window is 864 cells where the linear stage
-takes 1,800.  Where the window would be no smaller, the stage keeps the
-linear layout.  Trim and window together move any CDF value of tau_l by
-at most (J + 1) * TRIM times those probabilities, less than the
-round-off of the convolution itself, so a bound moves only if the
+is compared with.  Every stage then convolves on a circle rather than
+over the whole support: a Chernoff bound on the untrimmed law of each
+group's sum sizes a window that leaves out less than that same cut at
+each end, and each input is placed on the circle so that the window's
+cells come out of the inverse transform in order.  Mass beyond the
+window wraps onto it.  For a balanced coverage case the window is 864
+cells where the trimmed support takes 1,800; at K = 7 with 100 units an
+arm the last one is about 115,000 cells of a lattice of 1,625,601.
+Trimming leaves out less than J cuts at each end and each group's window
+moves less than one, so any CDF value of tau_l moves by at most (J + G)
+* TRIM times those probabilities, G being the number of groups over all
+stages: 1 at K <= 2, fewer than J / 3 + 1 in general.  That is less than
+the round-off of the convolution itself, so a bound moves only if the
 untrimmed CDF is that close to its threshold; the test suite finds no
-such case in 3,000 random datasets, nor on windows over 300 more.
-``predictive_pmf`` trims nothing and uses no window.
+such case in 3,000 random datasets, nor on 300 more up to K = 4 and on
+small arms at K = 6 and 7.  ``predictive_pmf`` trims nothing, so its
+window is the whole support.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,17 +79,18 @@ from .design import IntervalReport, ModelMatrix, lattice_step
 # pmf, oriented by the sign of its contrast, drops its leading entries
 # whose cumulative mass is below TRIM * (1 - level) / 2 and its trailing
 # entries below TRIM * (1 - (1 + level) / 2): mass a factor 1e15 below
-# the tail probability each bound is compared with.  At K <= 2 the
-# circular window of the convolution leaves out less than the same cuts.
+# the tail probability each bound is compared with.  The circular window
+# of every convolution stage leaves out less than the same cuts.
 TRIM = 1e-15
 
-# Cell budget of one row chunk of exact_bounds: rows x the laws x the
-# padded lattice size of the widest convolution stage.  A chunk holds a few
-# arrays of this many float64 cells (64 KiB each).  A balanced coverage
-# case has one four-way stage on a circular window of 864 cells, so 9 rows
-# a chunk.  With the linear stage of 1,800 cells (4 rows a chunk), budgets
-# up to 2^16 ran it at most about 10% faster, and from 2^14 on they raised
-# the peak memory of a 4-case study by 1 MB or more.
+# Cell budget of one row chunk of exact_bounds: rows x the groups x the
+# circle of the widest convolution stage; laws are also placed on a circle
+# and transformed this many cells at a time.  A chunk holds a few arrays of
+# this many float64 cells (64 KiB each).  A balanced coverage case has one
+# four-way stage on a circle of 864 cells, so 9 rows a chunk.  When that
+# stage ran over 1,800 cells (4 rows a chunk), budgets up to 2^16 ran it
+# at most about 10% faster, and from 2^14 on they raised the peak memory
+# of a 4-case study by 1 MB or more.
 CHUNK_CELLS = 2**13
 
 # Upper bound on a Beta hyperparameter.  The exact law's log-ratios multiply
@@ -168,9 +172,15 @@ def posterior_mean(obs: ObservedData, matrix: ModelMatrix, l: int, prior: PriorS
     check_matrix(matrix, obs.k)
     check_effect(l, obs.n_arms)
     _check_prior(obs.n_arms, prior)
+    return _means(obs, matrix, [l], prior)[0]
+
+
+def _means(obs, matrix, effects, prior):
+    """:func:`posterior_mean` of each of ``effects``, on checked arguments."""
     p_prime = (obs.n_obs + prior.alpha) / (obs.n + prior.alpha + prior.beta)
     totals = obs.n_obs + (obs.n_units - obs.n) * p_prime
-    return float(lattice_step(obs.k, obs.n_units) * (matrix.entries[:, l] @ totals))
+    step = lattice_step(obs.k, obs.n_units)
+    return [float(step * (matrix.entries[:, l] @ totals)) for l in effects]
 
 
 def posterior_variance(obs: ObservedData, prior: PriorSpec) -> float:
@@ -238,7 +248,8 @@ def predictive_pmf(
     _check_prior(obs.n_arms, prior)
     signs = matrix.entries[:, l]
     [(_, offsets, pmfs)] = _effect_laws(obs.n, obs.n_obs[None], signs, prior, (0.0, 0.0))
-    return int(offsets[0]), pmfs[0]
+    # its window starts at offset and may be longer than the lattice
+    return int(offsets[0]), pmfs[0, : int((obs.n_units - obs.n).sum()) + 1]
 
 
 def exact_bounds(
@@ -278,17 +289,18 @@ def exact_intervals(
     lower, upper = _bounds(obs.n, obs.n_obs[None].repeat(len(signs), axis=0), signs, prior, level)
     step = lattice_step(obs.k, obs.n_units)
     variance = posterior_variance(obs, prior)
+    bounds = zip((step * lower).tolist(), (step * upper).tolist())
     return [
         IntervalReport(
             effect=l,
-            point=posterior_mean(obs, matrix, l, prior),
+            point=point,
             variance=variance,
             lower=low,
             upper=high,
             level=level,
             method="bayes-indep",
         )
-        for l, low, high in zip(effects, (step * lower).tolist(), (step * upper).tolist())
+        for l, point, (low, high) in zip(effects, _means(obs, matrix, effects, prior), bounds)
     ]
 
 
@@ -313,7 +325,7 @@ def _bounds(n, counts, signs, prior, level):
         # CDF(i) >= q is tested as P(X <= i) >= q for the lower bound and as
         # P(X > i) <= 1 - q for the upper one, each tail summed from its own
         # end.  Past its support a row's law is 0, which neither test counts.
-        lower[rows] = offsets + (np.cumsum(pmfs, axis=1) < tails[0]).sum(axis=1)
+        lower[rows] = offsets + (np.cumsum(pmfs, axis=1) >= tails[0]).argmax(axis=1)
         at_least = np.cumsum(pmfs[:, ::-1], axis=1)[:, ::-1]  # P(X >= i)
         upper[rows] = offsets + (at_least[:, 1:] > tails[1]).sum(axis=1)
     # the upper quantile is never below the lower one, but near the median
@@ -328,28 +340,30 @@ def _effect_laws(n, counts, signs, prior, cuts):
     chunks as ``(rows, offsets, pmfs)``: row r's value ``offsets[r] + i``
     has probability ``pmfs[r, i]``, and 0 past its support.
 
-    Each arm's law is built, oriented, trimmed by ``cuts`` (see ``TRIM``)
-    and Fourier-transformed once per distinct (count, sign) of that arm, at
-    the size of the first stage.  The J = 2^K laws are then convolved in
-    floor(K/2) stages of four, then one of two when K is odd.  A stage
-    multiplies the spectra of each group of its laws, taken at its own
-    padded size, and makes one inverse transform; it keeps its laws zero
-    past their widths, so the next stage takes one forward transform of
-    them.  The first stage multiplies the spectra gathered by each row's
-    counts and signs.  Rows go through the stages ``CHUNK_CELLS`` cells at
-    a time.  When there is one stage and there are no fewer rows than
-    arms, it runs on the circular window of ``_window`` if that is
-    smaller: each row's ``pmfs`` then cover the window, its far tails
-    wrapped onto it.
+    Each arm's law is built, oriented and trimmed by ``cuts`` (see
+    ``TRIM``) once per distinct (count, sign) of that arm.  The J = 2^K
+    laws are then convolved in floor(K/2) stages of four, then one of two
+    when K is odd, each on a circle.  A group of a stage sums its arm laws
+    to X; with c_j their rounded means, C their sum and L_j(theta) their
+    log-MGFs about c_j, the Chernoff bound puts at most
+    exp(sum_j L_j(theta) - theta t) of X's untrimmed mass at X >= C + t,
+    and likewise below.  So each group keeps, over its rows, the values
+    C - low .. C + high - 1 that leave less than the cut outside at each
+    end, and the stage convolves on the smallest ``_fft_size`` that holds
+    every group's.  Each input sits on the circle with its c in cell 0,
+    but the first of each group with its c in the group's cell ``low``, so
+    each group's window comes out of the inverse transform in order, its
+    far tails wrapped onto it; cells outside the row's trimmed support are
+    then set to 0.  The first stage multiplies the spectra of the distinct laws,
+    gathered by each row's counts and signs.  Rows go through the stages
+    ``CHUNK_CELLS`` cells at a time.
     """
     n_units = int(n.sum())
     missing = n_units - n
-    points = int(missing.sum()) + 1  # the values of each row's sum
-    check_lattice(points)
-    signs = np.broadcast_to(signs, counts.shape)
+    check_lattice(int(missing.sum()) + 1)  # the values of each row's sum
     # where h_j = -1 the law enters reversed: m_j - B_j ~ Beta-Binomial(m_j, b, a)
     flipped = signs < 0
-    offsets = (counts * signs).sum(axis=1) - (missing * flipped).sum(axis=1)
+    offsets = (counts * signs).sum(axis=1) - (missing * flipped).sum(axis=-1)
     # every arm's distinct laws, by arm and then key: arm j keys a count c as c
     # where h_j = +1 and as n_j + 1 + c where h_j = -1, below 2 (max n + 1)
     stride = 2 * (int(n.max()) + 1)
@@ -361,58 +375,77 @@ def _effect_laws(n, counts, signs, prior, cuts):
     values = keys - reverse * (n[arm] + 1)
     a, b = prior.alpha[arm] + values, prior.beta[arm] + n[arm] - values
     a, b = np.where(reverse, b, a), np.where(reverse, a, b)
-    pmfs = _beta_binomial(missing[arm], a, b)
-    # per arm and sign (group 2j or 2j + 1), the leading and trailing entries
-    # every one of its laws drops
-    starts = np.searchsorted(2 * arm + reverse, np.arange(2 * n.size + 1))
-    used = np.flatnonzero(starts[1:] > starts[:-1])
-    first, ends = starts[used], starts[used + 1]  # group g's laws are rows first_g:ends_g
-    lead, trail = np.zeros((2, 2 * n.size), dtype=np.int64)
-    lead[used] = np.minimum.reduceat((np.cumsum(pmfs, axis=1) < cuts[0]).sum(axis=1), first)
-    trail[used] = np.minimum.reduceat(
-        (np.cumsum(pmfs[:, ::-1], axis=1) < cuts[1]).sum(axis=1), first
+    m = missing[arm]
+    pmfs = _beta_binomial(m, a, b)
+    # each law's leading and trailing entries that every law of its arm and
+    # sign drops (each cumulative sum rises to about 1, so the first entry
+    # reaching the cut counts the entries below it)
+    slot = 2 * arm + reverse
+    head = np.ones(len(slot), dtype=bool)  # the first law of its arm and sign
+    head[1:] = slot[1:] != slot[:-1]
+    starts, group = head.nonzero()[0], head.cumsum() - 1
+    lead, trail = (
+        np.minimum.reduceat((p.cumsum(axis=1) >= cut).argmax(axis=1), starts)[group]
+        for p, cut in zip((pmfs, pmfs[:, ::-1]), cuts)
     )
-    # zero padding is no support
-    widths = np.minimum(np.repeat(missing, 2) + 1, pmfs.shape[1] - trail) - lead
-    slots = 2 * np.arange(n.size) + flipped  # each row's group of each arm
-    offsets += lead[slots].sum(axis=1)
-    spans = widths[slots]
-    # per stage: its fan-in, padded size and the widths of its laws
-    stages = []
-    k = n.size.bit_length() - 1
+    widths = np.minimum(m + 1, pmfs.shape[1] - trail) - lead  # padding is no support
+    # each law's rounded mean c and log-MGF about c on a grid of exponents
+    # theta, 17 a side, with theta * x within 256 of 0, far from exp's
+    # overflow at 709; sum_x p(x) exp(theta x) is taken as sum_a exp(theta a B)
+    # sum_b p(a B + b) exp(theta b), 2 sqrt(x) exps a theta, on the laws
+    # zero-padded to whole blocks of B
+    x = np.arange(pmfs.shape[1])
+    centers = np.rint(pmfs @ x).astype(np.int64)
+    grid = [256.0 / (x.size - 1) * 2.0 ** (-i / 2.0) for i in range(17)]
+    theta = np.array(grid + [-t for t in grid])  # the upper end, then the lower end
+    block = math.isqrt(x.size - 1) + 1
+    powers = np.exp(np.multiply.outer(np.concatenate((x[:block], x[::block])), theta))
+    blocks = np.zeros((len(pmfs), -(-x.size // block) * block))
+    blocks[:, : x.size] = pmfs
+    sums = np.empty((len(pmfs), theta.size + 4))
+    inner = (blocks.reshape(-1, block) @ powers[:block]).reshape(len(pmfs), -1, theta.size)
+    np.log(np.einsum("lat,at->lt", inner, powers[block:]), out=sums[:, :-4])
+    del blocks, inner
+    sums[:, :-4] -= np.multiply.outer(centers, theta)
+    # then how far the support reaches above and below c, and how far the
+    # trimmed support reaches below and above it: per law, then per row and
+    # arm, then per group at each stage (whole numbers, exact in float64)
+    room = centers - lead
+    sums[:, -4:] = np.array((m - centers, centers, room, widths - 1 - room)).T
+    sums = sums[index]
+    # no cut (predictive_pmf) keeps the whole support
+    high_cut, low_cut = (math.log(c) if c else -math.inf for c in cuts[::-1])
+    log_cuts = np.array([high_cut] * len(grid) + [low_cut] * len(grid))
+    stages, k = [], n.size.bit_length() - 1
     for fan_in in [4] * (k // 2) + [2] * (k % 2):
-        spans = spans.reshape(len(spans), -1, fan_in).sum(axis=2) - (fan_in - 1)
-        size = _fft_size(int(spans.max()))
-        stages.append((fan_in, size, spans))
-    top = int(spans.max())  # the widest law of effect values, zero past each row's width
-    windows = np.zeros((len(distinct), widths[used].max()))
-    for lo, hi, start, width in zip(*(v.tolist() for v in (first, ends, lead[used], widths[used]))):
-        windows[lo:hi, :width] = pmfs[lo:hi, start : start + width]
-    # one stage may run on a circular window, unless the call has fewer rows
-    # than arms: sizing the window costs about what it saves on 3 or 4 rows,
-    # and one dataset's effects (analyze) are fewer rows than arms.  starts:
-    # each row's value at cell 0, counted as its trimmed support counts it
-    window, starts = None, np.zeros(len(counts), dtype=np.int64)
-    if len(stages) == 1 and len(counts) >= n.size:
-        window = _window(pmfs, lead[2 * arm + reverse], arm, index, points, cuts, size)
-    del pmfs
-    if window is not None:  # one stage, on a circular window of each row's law
-        top, shifts, starts = window
-        offsets += starts
-        stages = [(fan_in, top, spans)]
-        windows = _wrap(windows, shifts, top)
-    spectra = np.fft.rfft(windows, stages[0][1])
-    del windows
-    chunk = max(1, CHUNK_CELLS // max(size * spans.shape[1] for _, size, spans in stages))
+        sums = sums.reshape(len(sums), -1, fan_in, sums.shape[-1]).sum(axis=2)
+        # the values kept past the center at each end: one less than the least
+        # t with exp(sum_j L_j(theta) - |theta| t) < cut, at the best theta,
+        # and no more than the support holds
+        reach = np.floor((sums[..., :-4] - log_cuts) / np.abs(theta))
+        reach = reach.reshape(*sums.shape[:2], 2, -1).min(axis=3)
+        high, low = np.minimum(reach, sums[..., -4:-2]).max(axis=0).astype(int).T  # per group
+        first, last = low - sums[..., -2], low + sums[..., -1]  # each row's trimmed support
+        stages.append((fan_in, _fft_size(int((low + 1 + high).max())), low, first, last))
+    offsets += sums[:, 0, -3].astype(np.int64) - low[0]  # the value of each row's cell 0
+    fan_in, size, low = stages[0][:3]
+    windows = [law[s : s + w] for law, s, w in zip(pmfs, lead.tolist(), widths.tolist())]
+    spectra = _spectra(windows, np.where(arm % fan_in, 0, low[arm // fan_in]) - room, size)
+    del pmfs, windows
+    chunk = max(1, CHUNK_CELLS // max(size * first.shape[1] for _, size, _, first, _ in stages))
     for start in range(0, len(counts), chunk):
         rows = slice(start, start + chunk)
-        for stage, (fan_in, size, spans) in enumerate(stages):
+        for stage, (fan_in, size, low, first, last) in enumerate(stages):
             if stage:  # the product overwrites the chunk's own transform of the laws
-                transform = np.fft.rfft(laws, size)
+                # the stage before left each law's center in its group's cell low
+                inputs, group = laws.reshape(-1, laws.shape[2]), np.arange(laws.shape[1])
+                shifts = np.where(group % fan_in, 0, low[group // fan_in]) - stages[stage - 1][2]
+                transform = _spectra(inputs, np.tile(shifts, len(laws)), size)
+                transform = transform.reshape(*laws.shape[:2], -1)
+                del laws, inputs
                 product = transform[:, 0::fan_in]
                 for i in range(1, fan_in):
                     product *= transform[:, i::fan_in]
-                del transform
             else:  # each row's arm spectra, gathered by its index one factor at a time
                 product = spectra[index[rows, 0::fan_in]]
                 for i in range(1, fan_in):
@@ -422,68 +455,34 @@ def _effect_laws(n, counts, signs, prior, cuts):
             laws = np.fft.irfft(product, size)
             del product  # products and transforms are the largest arrays here
             np.maximum(laws, 0.0, out=laws)  # round-off leaves tiny negatives in the tails
-            # past each law's support lies only round-off; first: each row's cell of value 0
-            cells, first = np.arange(size), -starts[rows, None, None]
-            laws *= (cells >= first) & (cells < first + spans[rows, :, None])
-            del cells  # as long as a law: not kept into the next stage's transforms
-        yield rows, offsets[rows], laws[:, 0, :top]
+            # past each law's trimmed support lies only round-off and wrapped mass
+            cells = np.arange(size)
+            laws *= (cells >= first[rows, :, None]) & (cells <= last[rows, :, None])
+        yield rows, offsets[rows], laws[:, 0]
 
 
-def _window(pmfs, leads, arm, index, support, cuts, linear_size):
-    """A circular window that holds each row's law but for less than
-    ``cuts`` of its untrimmed mass at each end, or None where it would not
-    be smaller than ``linear_size``: ``(size, shifts, starts)``.
-
-    Row r takes the distinct law ``index[r, j]`` of arm j.  Law l has the
-    untrimmed probabilities ``pmfs[l]`` at x = 0, 1, ..., whose trimmed
-    window starts at ``leads[l]``, a rounded mean c_l and a log-MGF
-    L_l(theta) about c_l.  A row's sum X of the x takes the values
-    0..``support`` - 1, and with C the sum of its c_l the Chernoff bound
-    puts at most exp(sum_j L_j(theta) - theta t) of its mass at X >= C + t,
-    and likewise below; the trimmed laws, which never exceed the untrimmed
-    ones, have no more.  So each row keeps all but less than the cut at
-    each end in the values C - h .. C - h + size - 1, which the inverse
-    transform gives in cells 0..size - 1 once entry x of law l sits in
-    cell (x - c_l + s_j) mod size, where the s_j of a row's arms sum to h
-    (s_0 = h, every other s_j = 0).  ``shifts`` are where each trimmed
-    window's first entry goes, and ``starts`` are each row's C - h minus
-    the sum of its leads: the value of cell 0 counted as the trimmed
-    supports count it.
-    """
-    x = np.arange(pmfs.shape[1])
-    centers = np.rint(pmfs @ x).astype(np.int64)
-    # a geometric grid, theta * x within 256 of 0: far from exp's overflow at 709
-    theta = 256.0 / x[-1] * 2.0 ** (-np.arange(17) / 2.0)
-    theta = np.concatenate((theta, -theta))  # the upper end, then the lower end
-    log_mgf = np.log(pmfs @ np.exp(np.multiply.outer(x, theta)))
-    log_mgf -= np.multiply.outer(centers, theta)
-    log_cuts = np.log(np.repeat(cuts[::-1], len(theta) // 2))
-    # the least t with exp(sum_j L_j(theta) - |theta| t) < cut, at the best theta
-    reach = (np.floor((log_mgf[index].sum(axis=1) - log_cuts) / np.abs(theta)) + 1).reshape(
-        len(index), 2, -1
-    ).min(axis=2)
-    row_centers = centers[index].sum(axis=1)
-    low = int(np.minimum(reach[:, 1] - 1, row_centers).max())
-    high = int(np.minimum(reach[:, 0], support - row_centers).max())
-    size = _fft_size(low + high)
-    if size >= linear_size:
-        return None
-    shifts = leads - centers + np.where(arm == 0, low, 0)
-    return size, shifts, row_centers - low - leads[index].sum(axis=1)
+def _spectra(laws, shifts, size):
+    """The ``rfft`` of each of ``laws`` placed by ``_wrap`` on ``size`` cells,
+    ``CHUNK_CELLS`` cells at a time: never all placed next to their spectra."""
+    spectra = np.empty((len(laws), size // 2 + 1), dtype=complex)
+    block = max(1, CHUNK_CELLS // size)
+    for start in range(0, len(laws), block):
+        rows = slice(start, start + block)
+        spectra[rows] = np.fft.rfft(_wrap(laws[rows], shifts[rows], size))
+    return spectra
 
 
-def _wrap(windows, shifts, size):
-    """Each row of ``windows`` shifted by ``shifts`` and wrapped onto
-    ``size`` cells: entry x of row l lands in cell (x + shifts[l]) mod size."""
-    if windows.shape[1] > size:  # fold the law onto the circle first
-        windows = np.pad(windows, ((0, 0), (0, -windows.shape[1] % size)))
-        windows = windows.reshape(len(windows), -1, size).sum(axis=1)
-    width = windows.shape[1]
-    wrapped = np.zeros((len(windows), size))
-    for row, law, shift in zip(wrapped, windows, (shifts % size).tolist()):
-        split = min(width, size - shift)  # the entries that land before the end
+def _wrap(laws, shifts, size):
+    """Each of ``laws`` shifted by ``shifts`` and wrapped onto ``size`` cells:
+    entry x of law l lands in cell (x + shifts[l]) mod size."""
+    wrapped = np.zeros((len(laws), size))
+    for row, law, shift in zip(wrapped, laws, (shifts % size).tolist()):
+        if law.size > size:  # fold the law onto the circle first
+            law = np.pad(law, (0, -law.size % size)).reshape(-1, size).sum(axis=0)
+        split = min(law.size, size - shift)  # the entries that land before the end
         row[shift : shift + split] = law[:split]
-        row[: width - split] = law[split:]
+        if split < law.size:
+            row[: law.size - split] = law[split:]
     return wrapped
 
 

@@ -301,19 +301,21 @@ def cmd_sensitivity(args) -> int:
     matrix = build_model_matrix(obs.k)
     prior = _parse_prior(args.alpha, args.beta, obs.n_arms)
     seed = _parse_seed(args.seed)
-    rng = _substream(seed, _KEY_SWEEP, args.effect)
     if args.gamma_csv is not None:
         structure = load_gamma_csv(args.gamma_csv)
-        _parse_threads(args.threads)  # checked alike, though one interval runs here
+    else:
+        grid = parse_rho_grid(args.grid, "--grid")
+    threads = _parse_threads(args.threads)  # checked alike, though --gamma-csv runs one interval
+    check_effect(args.effect, obs.n_arms)  # its stream key must be a valid effect
+    rng = _substream(seed, _KEY_SWEEP, args.effect)
+    if args.gamma_csv is not None:
         report = sensitivity.interval(
             obs, matrix, args.effect, prior, structure, args.draws, args.level, rng
         )
         result = sensitivity.SweepResult(reports=[report], conservative=report)
     else:
-        grid = parse_rho_grid(args.grid, "--grid")
         result = sensitivity.sweep(
-            obs, matrix, args.effect, prior, grid, args.draws, args.level, rng,
-            threads=_parse_threads(args.threads),
+            obs, matrix, args.effect, prior, grid, args.draws, args.level, rng, threads=threads
         )
 
     with open(args.csv_out, "w", newline="") as handle:

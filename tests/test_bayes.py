@@ -245,6 +245,18 @@ class TestCredibleInterval:
         assert wide.lower <= narrow.lower <= narrow.upper <= wide.upper
 
 
+def lgamma_arm_pmf(m, a, b):
+    """Beta-Binomial(m, a, b) probabilities of 0..m from math.lgamma."""
+    return np.array([
+        math.exp(
+            math.lgamma(m + 1) - math.lgamma(x + 1) - math.lgamma(m - x + 1)
+            + math.lgamma(x + a) + math.lgamma(m - x + b) - math.lgamma(m + a + b)
+            + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        )
+        for x in range(m + 1)
+    ])
+
+
 def lgamma_effect_pmf(obs, matrix, l, prior):
     """Reference law of effect l: Beta-Binomial pmfs from math.lgamma,
     convolved one arm at a time; returns (offset, pmf) like predictive_pmf."""
@@ -253,15 +265,7 @@ def lgamma_effect_pmf(obs, matrix, l, prior):
     pmf = np.ones(1)
     for sign, size, successes, a, b in zip(signs, obs.n, obs.n_obs, prior.alpha, prior.beta):
         m = obs.n_units - int(size)
-        a, b = a + successes, b + size - successes
-        arm = np.array([
-            math.exp(
-                math.lgamma(m + 1) - math.lgamma(x + 1) - math.lgamma(m - x + 1)
-                + math.lgamma(x + a) + math.lgamma(m - x + b) - math.lgamma(m + a + b)
-                + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-            )
-            for x in range(m + 1)
-        ])
+        arm = lgamma_arm_pmf(m, a + successes, b + size - successes)
         offset += int(sign) * int(successes)
         if sign < 0:
             arm = arm[::-1]
@@ -460,27 +464,33 @@ class TestTinyLevels:
 
 
 class TestCircularWindow:
-    """At K <= 2, in a call with no fewer rows than arms, each row's law is
-    read off a circular window that holds all but less than the cut of its
-    mass at each end (see ``_window``)."""
+    """Every stage of every exact call convolves on a circular window that
+    holds each row's law but for less than the cut of its untrimmed mass at
+    each end (see ``_effect_laws``)."""
 
     @staticmethod
-    def spy(monkeypatch):
-        """Record what ``_window`` gets and gives."""
-        calls, window = [], bayes._window
-
-        def recorded(*args):
-            calls.append((args, window(*args)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(bayes, "_window", recorded)
-        return calls
+    def trimmed_span(n, counts, signs, prior, cuts):
+        """The width of the sum of the arms' trimmed supports over the rows
+        of ``counts``: each arm's law, oriented by its sign, drops the
+        leading entries whose cumulative mass is below ``cuts[0]`` and the
+        trailing ones below ``cuts[1]``, as few as any of its rows drops."""
+        span = 1
+        for j, (size, sign) in enumerate(zip(n.tolist(), signs.tolist())):
+            m = int(n.sum()) - size
+            laws = [
+                lgamma_arm_pmf(m, prior.alpha[j] + c, prior.beta[j] + size - c)[::sign]
+                for c in set(counts[:, j].tolist())
+            ]
+            lead = min(np.count_nonzero(np.cumsum(law) < cuts[0]) for law in laws)
+            trail = min(np.count_nonzero(np.cumsum(law[::-1]) < cuts[1]) for law in laws)
+            span += m - lead - trail
+        return span
 
     @pytest.mark.parametrize("study", ["study_balanced.json", "study_imbalanced.json"])
-    def test_coverage_scale_bounds_are_the_untrimmed_quantiles(self, monkeypatch, study):
+    def test_coverage_scale_bounds_are_the_untrimmed_quantiles(self, study):
         """The first 50 replications of the study's first case (N = 800),
         as ``coverage_experiment`` draws them, at every effect; the window
-        is narrower than the laws of the linear layout."""
+        is narrower than the sum of the arms' trimmed supports."""
         config = StudyConfig.from_json(data_path(study))
         case, arms = resolve_cases(config)[0], np.array(config.arms)
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(case.case_id,)))
@@ -494,60 +504,70 @@ class TestCircularWindow:
             for row, low, high in zip(counts, lower.tolist(), upper.tolist()):
                 offset, pmf = predictive_pmf(ObservedData(k=2, n=arms, n_obs=row), matrix, l, prior)
                 assert (low, high) == pmf_quantiles(offset, pmf, step, level)
-            def widths():
-                laws = _effect_laws(arms, counts, matrix.entries[:, l], prior, cuts)
-                return [law.shape[1] for _, _, law in laws]
+            signs = matrix.entries[:, l]
+            widths = [law.shape[1] for _, _, law in _effect_laws(arms, counts, signs, prior, cuts)]
+            assert max(widths) < self.trimmed_span(arms, counts, signs, prior, cuts)
 
-            windows = widths()
-            with monkeypatch.context() as linear:
-                linear.setattr(bayes, "_window", lambda *args: None)
-                supports = widths()
-            assert max(windows) < min(supports)
-
-    def test_untrimmed_mass_outside_the_window_is_below_the_cut(self, monkeypatch):
-        """On random K <= 2 datasets, each as a batch of J copies (a window
-        is sized for no fewer rows than arms); the batch also gets the
-        untrimmed quantiles."""
+    def test_untrimmed_mass_outside_the_window_is_below_the_cut(self):
+        """On random datasets at K = 1..4 (one stage up to K = 2, two from
+        K = 3), each with a second row of other counts, against a direct
+        lgamma convolution: the FFT's round-off in predictive_pmf is about
+        1e-18 a cell, which adds up past the smaller cuts.  The rows also
+        get the untrimmed quantiles."""
         rng = np.random.default_rng(60)
-        calls, active = self.spy(monkeypatch), 0
         for _ in range(300):
-            k = int(rng.integers(1, 3))
+            k = int(rng.integers(1, 5))
             j = 2**k
-            n = rng.integers(2, 401, size=j)
-            obs = ObservedData(k=k, n=n, n_obs=rng.binomial(n, rng.uniform(0.0, 1.0, size=j)))
+            n = rng.integers(2, (401, 401, 61, 16)[k - 1], size=j)
+            counts = rng.binomial(n, rng.uniform(0.0, 1.0, size=(2, j)))
             alpha, beta = np.exp(rng.uniform(math.log(0.05), math.log(5.0), size=(2, j)))
             prior, l = PriorSpec(alpha=alpha, beta=beta), int(rng.integers(1, j))
             level = float(rng.choice([0.5, 0.95, 0.999, 1.0 - 1e-9, rng.uniform(0.5, 1.0 - 1e-9)]))
             cuts = (TRIM * (1.0 - level) / 2.0, TRIM * (1.0 - (1.0 + level) / 2.0))
-            matrix, copies = build_model_matrix(k), obs.n_obs[None].repeat(j, axis=0)
-            [(_, starts, laws)] = _effect_laws(n, copies, matrix.entries[:, l], prior, cuts)
-            if calls[-1][1] is None:
-                continue
-            active += 1
-            # by direct convolution: the FFT's round-off in predictive_pmf is
-            # about 1e-18 a cell, which adds up past the smaller cuts
-            offset, pmf = lgamma_effect_pmf(obs, matrix, l, prior)
-            below = pmf[: max(starts[0] - offset, 0)]
-            above = pmf[max(starts[0] + laws.shape[1] - offset, 0) :]
-            assert math.fsum(below) <= cuts[0]
-            assert math.fsum(above) <= cuts[1]
-            lower, upper = exact_bounds(n, copies, matrix, l, prior, level)
-            offset, pmf = predictive_pmf(obs, matrix, l, prior)
-            expected = pmf_quantiles(offset, pmf, lattice_step(k, obs.n_units), level)
-            assert set(zip(lower.tolist(), upper.tolist())) == {expected}
-        assert active > 200  # the window is not idle on these datasets
+            matrix, step = build_model_matrix(k), lattice_step(k, int(n.sum()))
+            windows = [
+                (start, laws.shape[1])
+                for _, starts, laws in _effect_laws(n, counts, matrix.entries[:, l], prior, cuts)
+                for start in starts.tolist()
+            ]
+            bounds = zip(*(b.tolist() for b in exact_bounds(n, counts, matrix, l, prior, level)))
+            for row, (start, width), (low, high) in zip(counts, windows, bounds):
+                offset, pmf = lgamma_effect_pmf(ObservedData(k=k, n=n, n_obs=row), matrix, l, prior)
+                assert math.fsum(pmf[: max(start - offset, 0)]) <= cuts[0]
+                assert math.fsum(pmf[max(start + width - offset, 0) :]) <= cuts[1]
+                assert (low, high) == pmf_quantiles(offset, pmf, step, level)
 
-    def test_rows_of_their_own_signs(self, monkeypatch):
-        """Effects asked for twice make one dataset's batch as long as its
-        arms: a window over rows of their own signs and supports."""
-        calls = self.spy(monkeypatch)
+    @pytest.mark.parametrize("k, max_n", [(6, 4), (7, 3)])
+    def test_bounds_at_high_k_are_the_untrimmed_quantiles(self, k, max_n):
+        """Three and four stages on small arms, against a direct lgamma
+        convolution."""
+        for obs, matrix, prior in random_datasets(64 + k, count=2, k=k, max_n=max_n):
+            effects = [1, obs.n_arms - 1, int(obs.n_obs.sum()) % (obs.n_arms - 1) + 1]
+            step = lattice_step(k, obs.n_units)
+            for l, report in zip(effects, exact_intervals(obs, matrix, effects, prior, 0.95)):
+                offset, pmf = lgamma_effect_pmf(obs, matrix, l, prior)
+                assert (report.lower, report.upper) == pmf_quantiles(offset, pmf, step, 0.95)
+
+    def test_window_at_k7_is_narrower_than_a_quarter_of_the_lattice(self):
+        """128 arms of 100 units: the lattice has 1,625,601 values, and the
+        linear stages ran at up to 1,062,882 cells."""
+        rng = np.random.default_rng(65)
+        n = np.full(128, 100)
+        counts = rng.binomial(n, rng.uniform(0.1, 0.6, size=128))[None]
+        signs = build_model_matrix(7).entries[:, 1]
+        cuts = (TRIM * 0.025, TRIM * 0.025)
+        [(_, _, law)] = _effect_laws(n, counts, signs, PriorSpec.uniform(128), cuts)
+        assert law.shape[1] < (128 * 12_700 + 1) / 4
+
+    def test_rows_of_their_own_signs(self):
+        """Effects asked for twice: a window over rows of their own signs
+        and supports."""
         for obs, matrix, prior in random_datasets(63, count=20, k=2, max_n=300):
             effects = [3, 1, 2, 2, 1, 3]
             step = lattice_step(2, obs.n_units)
             for l, report in zip(effects, exact_intervals(obs, matrix, effects, prior, 0.95)):
                 offset, pmf = predictive_pmf(obs, matrix, l, prior)
                 assert (report.lower, report.upper) == pmf_quantiles(offset, pmf, step, 0.95)
-        assert sum(window is not None for _, window in calls) > 15
 
     def test_wrap_folds_laws_wider_than_the_circle(self):
         rng = np.random.default_rng(61)
@@ -557,13 +577,6 @@ class TestCircularWindow:
             for law, row, shift in zip(windows, expected, shifts):
                 np.add.at(row, (np.arange(23) + shift) % size, law)
             np.testing.assert_allclose(_wrap(windows, shifts, size), expected, rtol=1e-15)
-
-    def test_linear_stages_at_high_k_and_for_fewer_rows_than_arms(self, monkeypatch, trial_obs, h2):
-        calls = self.spy(monkeypatch)
-        for obs, matrix, prior in random_datasets(62, count=3, k=3):
-            exact_bounds(obs.n, obs.n_obs[None].repeat(10, axis=0), matrix, 1, prior, 0.95)
-        exact_intervals(trial_obs, h2, [1, 2, 3], PriorSpec.uniform(4), 0.95)
-        assert not calls
 
 
 class TestExactIntervals:

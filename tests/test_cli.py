@@ -289,6 +289,22 @@ class TestSensitivity:
         cp = run_cli("sensitivity", "--input", AHLUWALIA, "--effect", "2", "--grid", "1.2")
         assert cp.returncode == 2
 
+    @pytest.mark.parametrize("effect", ["-1", "0", "9"])
+    def test_effect_outside_the_arms_after_the_grid(self, tmp_path, capsys, effect):
+        """The effect is checked before its stream is spawned, and after the
+        grid, so a bad grid is reported first."""
+        argv = [
+            "sensitivity", "--input", str(AHLUWALIA), "--effect", effect, "--seed", "1",
+            "--csv-out", str(tmp_path / "s.csv"), "--out", str(tmp_path / "out"),
+        ]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: effect index {effect} outside 1..3\n"
+        assert cli.main([*argv, "--grid", "2:3:1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: grid '2:3:1' needs 0 <= start <= stop < 1 and a positive finite step\n"
+        )
+        assert not (tmp_path / "s.csv").exists() and not (tmp_path / "out").exists()
+
     def test_infinite_grid_step_is_rejected(self):
         """An infinite step would make 0 * inf a NaN grid point."""
         with pytest.raises(ValueError, match="positive finite step"):
