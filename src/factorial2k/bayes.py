@@ -34,25 +34,27 @@ one inverse transform.  At K <= 2, as in every coverage study and the
 bundled trial, that is one stage, whose spectra are the gathered ones,
 so a row costs one product and one inverse FFT.
 
-Before any transform, each arm's law loses the tail entries whose
-cumulative mass lies below ``TRIM`` times the tail probability its bound
-is compared with.  Every stage then convolves on a circle rather than
-over the whole support: a Chernoff bound on the untrimmed law of each
-group's sum sizes a window that leaves out less than that same cut at
-each end, and each input is placed on the circle so that the window's
-cells come out of the inverse transform in order.  Mass beyond the
-window wraps onto it.  For a balanced coverage case the window is 864
-cells where the trimmed support takes 1,800; at K = 7 with 100 units an
+Every stage convolves whole arm laws on a circle rather than over the
+whole support: a Chernoff bound on the law of each group's sum sizes a
+window that leaves out less than ``TRIM`` times the tail probability its
+bound is compared with at each end, and each input is placed on the
+circle so that the window's cells come out of the inverse transform in
+order.  Mass beyond the window wraps onto it, as does the part of a
+whole arm law wider than the circle.  For a balanced coverage case the window is 864
+cells where the support holds 2,401 values; at K = 7 with 100 units an
 arm the last one is about 115,000 cells of a lattice of 1,625,601.
-Trimming leaves out less than J cuts at each end and each group's window
-moves less than one, so any CDF value of tau_l moves by at most (J + G)
-* TRIM times those probabilities, G being the number of groups over all
-stages: 1 at K <= 2, fewer than J / 3 + 1 in general.  That is less than
-the round-off of the convolution itself, so a bound moves only if the
-untrimmed CDF is that close to its threshold; the test suite finds no
-such case in 3,000 random datasets, nor on 300 more up to K = 4 and on
-small arms at K = 6 and 7.  ``predictive_pmf`` trims nothing, so its
-window is the whole support.
+Couple the computed sum with the exact one: they differ only where some
+group's exact sum leaves its window, which each of the G groups over all
+stages (1 at K <= 2, fewer than J / 3 + 1 in general) does with less
+than the two cuts, TRIM * (1 - level).  So any CDF value of tau_l moves
+by less than G * TRIM * (1 - level), and at one stage by less than TRIM
+times the tail probability.  That is less than the round-off of the
+convolution itself, so a bound moves only if the exact CDF is that close
+to its threshold; the test suite finds no such case in 3,000 random
+datasets, nor on 300 more up to K = 4 and on small arms at K = 6 and 7.
+Past its support a row's circle holds only round-off and wrapped mass,
+so each bound is clipped to its row's support.  ``predictive_pmf`` cuts
+nothing, so its window is the whole support.
 """
 
 from __future__ import annotations
@@ -75,12 +77,10 @@ from ._checks import (
 from .assignment import ObservedData
 from .design import IntervalReport, ModelMatrix, lattice_step
 
-# Tail tolerance of the exact interval.  Before any convolution each arm's
-# pmf, oriented by the sign of its contrast, drops its leading entries
-# whose cumulative mass is below TRIM * (1 - level) / 2 and its trailing
-# entries below TRIM * (1 - (1 + level) / 2): mass a factor 1e15 below
-# the tail probability each bound is compared with.  The circular window
-# of every convolution stage leaves out less than the same cuts.
+# Tail tolerance of the exact interval.  The circle of every convolution
+# stage leaves out less than TRIM * (1 - level) / 2 of the law at its lower
+# end and TRIM * (1 - (1 + level) / 2) at its upper end: mass a factor 1e15
+# below the tail probability each bound is compared with.
 TRIM = 1e-15
 
 # Cell budget of one row chunk of exact_bounds: rows x the groups x the
@@ -241,7 +241,7 @@ def predictive_pmf(
 
     The pmf convolves the arms' Beta-Binomial laws, each reversed where
     h_lj = -1 (B_j then enters as (N - n_j) - B_j, its shift in ``offset``),
-    over the full support: nothing is trimmed.
+    over the full support: its circle leaves nothing out.
     """
     check_matrix(matrix, obs.k)
     check_effect(l, obs.n_arms)
@@ -319,18 +319,22 @@ def _bounds(n, counts, signs, prior, level):
     lower, upper = np.empty((2, len(counts)), dtype=np.int64)
     if not len(counts):
         return lower, upper
-    for rows, offsets, pmfs in _effect_laws(
-        n, counts, signs, prior, (TRIM * tails[0], TRIM * tails[1])
-    ):
+    for rows, offsets, pmfs in _effect_laws(n, counts, signs, prior, [TRIM * t for t in tails]):
         # CDF(i) >= q is tested as P(X <= i) >= q for the lower bound and as
         # P(X > i) <= 1 - q for the upper one, each tail summed from its own
-        # end.  Past its support a row's law is 0, which neither test counts.
+        # end
         lower[rows] = offsets + (np.cumsum(pmfs, axis=1) >= tails[0]).argmax(axis=1)
         at_least = np.cumsum(pmfs[:, ::-1], axis=1)[:, ::-1]  # P(X >= i)
         upper[rows] = offsets + (at_least[:, 1:] > tails[1]).sum(axis=1)
-    # the upper quantile is never below the lower one, but near the median
-    # the two tail sums can disagree by one step of round-off at tiny levels
-    return lower, np.maximum(upper, lower)
+    # past its support a row's circle holds only round-off and wrapped mass,
+    # which can set a bound when a tail is that small: each bound is kept in
+    # the row's support, and the upper one is never below the lower, though
+    # near the median the tail sums can disagree by one step at tiny levels
+    missing = int(n.sum()) - n
+    first = (counts * signs).sum(axis=1) - (missing * (signs < 0)).sum(axis=-1)
+    last = first + missing.sum()
+    lower = np.clip(lower, first, last)
+    return lower, np.clip(upper, lower, last)
 
 
 def _effect_laws(n, counts, signs, prior, cuts):
@@ -338,25 +342,25 @@ def _effect_laws(n, counts, signs, prior, cuts):
     (R, J) ``counts`` and of the contrast ``signs``, which broadcast to
     (R, J): one (J,) row serves every dataset.  They are yielded in row
     chunks as ``(rows, offsets, pmfs)``: row r's value ``offsets[r] + i``
-    has probability ``pmfs[r, i]``, and 0 past its support.
+    has probability ``pmfs[r, i]``; past its support lie only round-off and
+    wrapped mass.
 
-    Each arm's law is built, oriented and trimmed by ``cuts`` (see
-    ``TRIM``) once per distinct (count, sign) of that arm.  The J = 2^K
-    laws are then convolved in floor(K/2) stages of four, then one of two
-    when K is odd, each on a circle.  A group of a stage sums its arm laws
-    to X; with c_j their rounded means, C their sum and L_j(theta) their
-    log-MGFs about c_j, the Chernoff bound puts at most
-    exp(sum_j L_j(theta) - theta t) of X's untrimmed mass at X >= C + t,
-    and likewise below.  So each group keeps, over its rows, the values
-    C - low .. C + high - 1 that leave less than the cut outside at each
-    end, and the stage convolves on the smallest ``_fft_size`` that holds
-    every group's.  Each input sits on the circle with its c in cell 0,
-    but the first of each group with its c in the group's cell ``low``, so
-    each group's window comes out of the inverse transform in order, its
-    far tails wrapped onto it; cells outside the row's trimmed support are
-    then set to 0.  The first stage multiplies the spectra of the distinct laws,
-    gathered by each row's counts and signs.  Rows go through the stages
-    ``CHUNK_CELLS`` cells at a time.
+    Each arm's law is built and oriented once per distinct (count, sign)
+    of that arm.  The J = 2^K laws are then convolved in floor(K/2) stages
+    of four, then one of two when K is odd, each on a circle.  A group of
+    a stage sums its arm laws to X; with c_j their rounded means, C their
+    sum and L_j(theta) their log-MGFs about c_j, the Chernoff bound puts at
+    most exp(sum_j L_j(theta) - theta t) of X's mass at X >= C + t, and
+    likewise below.  So each group keeps, over its rows, the values
+    C - low .. C + high - 1 that leave less than the ``cuts`` (see
+    ``TRIM``) outside at each end, and the stage convolves on the smallest
+    ``_fft_size`` that holds every group's.  Each input sits on the circle
+    with its c in cell 0, but the first of each group with its c in the
+    group's cell ``low``, so each group's window comes out of the inverse
+    transform in order, its far tails wrapped onto it.  The first stage
+    multiplies the spectra of the whole distinct laws, gathered by each
+    row's counts and signs.  Rows go through the stages ``CHUNK_CELLS``
+    cells at a time.
     """
     n_units = int(n.sum())
     missing = n_units - n
@@ -377,18 +381,6 @@ def _effect_laws(n, counts, signs, prior, cuts):
     a, b = np.where(reverse, b, a), np.where(reverse, a, b)
     m = missing[arm]
     pmfs = _beta_binomial(m, a, b)
-    # each law's leading and trailing entries that every law of its arm and
-    # sign drops (each cumulative sum rises to about 1, so the first entry
-    # reaching the cut counts the entries below it)
-    slot = 2 * arm + reverse
-    head = np.ones(len(slot), dtype=bool)  # the first law of its arm and sign
-    head[1:] = slot[1:] != slot[:-1]
-    starts, group = head.nonzero()[0], head.cumsum() - 1
-    lead, trail = (
-        np.minimum.reduceat((p.cumsum(axis=1) >= cut).argmax(axis=1), starts)[group]
-        for p, cut in zip((pmfs, pmfs[:, ::-1]), cuts)
-    )
-    widths = np.minimum(m + 1, pmfs.shape[1] - trail) - lead  # padding is no support
     # each law's rounded mean c and log-MGF about c on a grid of exponents
     # theta, 17 a side, with theta * x within 256 of 0, far from exp's
     # overflow at 709; sum_x p(x) exp(theta x) is taken as sum_a exp(theta a B)
@@ -402,16 +394,14 @@ def _effect_laws(n, counts, signs, prior, cuts):
     powers = np.exp(np.multiply.outer(np.concatenate((x[:block], x[::block])), theta))
     blocks = np.zeros((len(pmfs), -(-x.size // block) * block))
     blocks[:, : x.size] = pmfs
-    sums = np.empty((len(pmfs), theta.size + 4))
+    sums = np.empty((len(pmfs), theta.size + 2))
     inner = (blocks.reshape(-1, block) @ powers[:block]).reshape(len(pmfs), -1, theta.size)
-    np.log(np.einsum("lat,at->lt", inner, powers[block:]), out=sums[:, :-4])
+    np.log(np.einsum("lat,at->lt", inner, powers[block:]), out=sums[:, :-2])
     del blocks, inner
-    sums[:, :-4] -= np.multiply.outer(centers, theta)
-    # then how far the support reaches above and below c, and how far the
-    # trimmed support reaches below and above it: per law, then per row and
-    # arm, then per group at each stage (whole numbers, exact in float64)
-    room = centers - lead
-    sums[:, -4:] = np.array((m - centers, centers, room, widths - 1 - room)).T
+    sums[:, :-2] -= np.multiply.outer(centers, theta)
+    # then how far the support reaches above and below c: per law, then per
+    # row and arm, then per group at each stage (whole numbers, exact in float64)
+    sums[:, -2:] = np.array((m - centers, centers)).T
     sums = sums[index]
     # no cut (predictive_pmf) keeps the whole support
     high_cut, low_cut = (math.log(c) if c else -math.inf for c in cuts[::-1])
@@ -422,20 +412,18 @@ def _effect_laws(n, counts, signs, prior, cuts):
         # the values kept past the center at each end: one less than the least
         # t with exp(sum_j L_j(theta) - |theta| t) < cut, at the best theta,
         # and no more than the support holds
-        reach = np.floor((sums[..., :-4] - log_cuts) / np.abs(theta))
+        reach = np.floor((sums[..., :-2] - log_cuts) / np.abs(theta))
         reach = reach.reshape(*sums.shape[:2], 2, -1).min(axis=3)
-        high, low = np.minimum(reach, sums[..., -4:-2]).max(axis=0).astype(int).T  # per group
-        first, last = low - sums[..., -2], low + sums[..., -1]  # each row's trimmed support
-        stages.append((fan_in, _fft_size(int((low + 1 + high).max())), low, first, last))
-    offsets += sums[:, 0, -3].astype(np.int64) - low[0]  # the value of each row's cell 0
-    fan_in, size, low = stages[0][:3]
-    windows = [law[s : s + w] for law, s, w in zip(pmfs, lead.tolist(), widths.tolist())]
-    spectra = _spectra(windows, np.where(arm % fan_in, 0, low[arm // fan_in]) - room, size)
-    del pmfs, windows
-    chunk = max(1, CHUNK_CELLS // max(size * first.shape[1] for _, size, _, first, _ in stages))
+        high, low = np.minimum(reach, sums[..., -2:]).max(axis=0).astype(int).T  # per group
+        stages.append((fan_in, _fft_size(int((low + 1 + high).max())), low))
+    offsets += sums[:, 0, -1].astype(np.int64) - low[0]  # the value of each row's cell 0
+    fan_in, size, low = stages[0]
+    spectra = _spectra(pmfs, np.where(arm % fan_in, 0, low[arm // fan_in]) - centers, size)
+    del pmfs
+    chunk = max(1, CHUNK_CELLS // max(size * low.size for _, size, low in stages))
     for start in range(0, len(counts), chunk):
         rows = slice(start, start + chunk)
-        for stage, (fan_in, size, low, first, last) in enumerate(stages):
+        for stage, (fan_in, size, low) in enumerate(stages):
             if stage:  # the product overwrites the chunk's own transform of the laws
                 # the stage before left each law's center in its group's cell low
                 inputs, group = laws.reshape(-1, laws.shape[2]), np.arange(laws.shape[1])
@@ -455,9 +443,6 @@ def _effect_laws(n, counts, signs, prior, cuts):
             laws = np.fft.irfft(product, size)
             del product  # products and transforms are the largest arrays here
             np.maximum(laws, 0.0, out=laws)  # round-off leaves tiny negatives in the tails
-            # past each law's trimmed support lies only round-off and wrapped mass
-            cells = np.arange(size)
-            laws *= (cells >= first[rows, :, None]) & (cells <= last[rows, :, None])
         yield rows, offsets[rows], laws[:, 0]
 
 

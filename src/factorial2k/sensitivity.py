@@ -186,8 +186,9 @@ def interval(
     """Equal-tailed credible interval for effect l under one association.
 
     Draws the marginals, then the imputations, from ``rng``.  The point is
-    the closed-form posterior mean, which the association does not shift;
-    the variance is the Monte Carlo sample variance.
+    the independent model's closed-form posterior mean, not the mean of
+    these draws, which the association shifts; the variance is the Monte
+    Carlo sample variance.
     """
     check_association(structure, obs.n_arms)
     _check_interval(obs, matrix, l, draws, level)

@@ -43,7 +43,7 @@ def pmf_quantiles(offset, pmf, step, level):
     """Equal-tailed bounds of the lattice law ``step * (offset + i)`` with
     probability ``pmf[i]``: the smallest value with P(X <= v) >= q for the
     lower bound, with P(X > v) <= 1 - q for the upper one, each tail summed
-    from its own end (the exact interval's rule, without its trimming)."""
+    from its own end (the exact interval's rule, over the whole support)."""
     lower = np.count_nonzero(np.cumsum(pmf) < (1.0 - level) / 2.0)
     upper = np.count_nonzero(np.cumsum(pmf[::-1])[::-1][1:] > 1.0 - (1.0 + level) / 2.0)
     return step * (offset + lower), step * (offset + upper)

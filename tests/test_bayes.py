@@ -559,6 +559,23 @@ class TestCircularWindow:
         [(_, _, law)] = _effect_laws(n, counts, signs, PriorSpec.uniform(128), cuts)
         assert law.shape[1] < (128 * 12_700 + 1) / 4
 
+    def test_whole_arm_laws_fold_onto_a_narrow_circle(self):
+        """Balanced arms of 200 with no, all, alternating and near-zero
+        successes: each arm's law covers 601 values, but the circle is
+        narrower, so every whole arm law is folded onto it."""
+        n, prior = np.full(4, 200), PriorSpec.uniform(4)
+        counts = np.array([[0, 0, 0, 0], [200, 200, 200, 200], [0, 200, 0, 200], [1, 0, 2, 0]])
+        matrix, step, level = build_model_matrix(2), lattice_step(2, 800), 0.95
+        cuts = (TRIM * (1.0 - level) / 2.0, TRIM * (1.0 - (1.0 + level) / 2.0))
+        for l in (1, 2, 3):
+            signs = matrix.entries[:, l]
+            widths = [law.shape[1] for _, _, law in _effect_laws(n, counts, signs, prior, cuts)]
+            assert max(widths) < 601
+            lower, upper = exact_bounds(n, counts, matrix, l, prior, level)
+            for row, low, high in zip(counts, lower.tolist(), upper.tolist()):
+                offset, pmf = lgamma_effect_pmf(ObservedData(k=2, n=n, n_obs=row), matrix, l, prior)
+                assert (low, high) == pmf_quantiles(offset, pmf, step, level)
+
     def test_rows_of_their_own_signs(self):
         """Effects asked for twice: a window over rows of their own signs
         and supports."""
@@ -663,10 +680,10 @@ class TestExactIntervals:
 
 
 class TestTrimming:
-    """The exact interval trims each arm's pmf tails below TRIM times the
-    tail probability before convolving; its bounds must stay the quantiles
-    of the untrimmed law, also for arms with all, none or about 2% successes,
-    priors from 0.05 to 5, and levels up to 1 - 1e-9."""
+    """The exact interval convolves on circles that leave out less than TRIM
+    times the tail probability at each end; its bounds must stay the
+    quantiles of the untrimmed law, also for arms with all, none or about 2%
+    successes, priors from 0.05 to 5, and levels up to 1 - 1e-9."""
 
     LEVELS = (0.5, 0.95, 0.999, 1.0 - 1e-9)
 
@@ -686,7 +703,7 @@ class TestTrimming:
             yield ObservedData(k=k, n=n, n_obs=n_obs), k, PriorSpec(alpha=alpha, beta=beta)
 
     def test_bounds_equal_untrimmed_quantiles(self):
-        mismatches, trimmed = [], 0
+        mismatches, narrowed = [], 0
         for obs, k, prior in self.datasets(33, 3000):
             matrix, step = build_model_matrix(k), lattice_step(k, obs.n_units)
             l = 1 + int(obs.n_obs.sum()) % (obs.n_arms - 1)
@@ -697,6 +714,6 @@ class TestTrimming:
                     mismatches.append((obs, l, prior, level))
             cuts = (TRIM * 0.025, TRIM * 0.025)
             [(_, _, law)] = _effect_laws(obs.n, obs.n_obs[None], matrix.entries[:, l], prior, cuts)
-            trimmed += law.shape[1] < pmf.size
+            narrowed += law.shape[1] < pmf.size
         assert not mismatches
-        assert trimmed > 2000  # the trim is not idle on these datasets
+        assert narrowed > 2000  # the circle is narrower than the support on these datasets

@@ -420,8 +420,9 @@ class TestRunStudy:
 
 class TestBatchedBayes:
     """``coverage_experiment`` computes every replication's exact interval in
-    one trimmed, batched call; replication by replication, through the
-    untrimmed law, it must count the same coverage and the same widths."""
+    one batched call on a circular window; replication by replication,
+    through the whole law, it must count the same coverage and the same
+    widths."""
 
     REPLICATIONS = 100
 

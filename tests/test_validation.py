@@ -147,10 +147,11 @@ class TestZeroTailLevel:
                 call()
 
     def test_largest_level_gives_bounds_inside_the_support(self, trial_obs, h2):
-        """Both exact calls, with and without the circular window (as many
-        rows as arms at K <= 2, or fewer), warnings raised as errors.  Its
-        tails of 1.1e-16 lie below the round-off of the convolution, so the
-        two calls need not agree on a bound."""
+        """Both exact calls, warnings raised as errors.  Its tails of 1.1e-16
+        lie below the round-off of the convolution, so the two calls need not
+        agree on a bound; this pins the clip of each bound to its row's
+        support, past which the circle holds only round-off and wrapped
+        mass."""
         assert 1.0 - (1.0 + self.LARGEST) / 2.0 > 0.0
         rng = np.random.default_rng(61)
         datasets = [(trial_obs, h2)]
