@@ -381,13 +381,14 @@ def _effect_laws(n, counts, signs, prior, cuts):
     a, b = np.where(reverse, b, a), np.where(reverse, a, b)
     m = missing[arm]
     pmfs = _beta_binomial(m, a, b)
-    # each law's rounded mean c and log-MGF about c on a grid of exponents
-    # theta, 17 a side, with theta * x within 256 of 0, far from exp's
-    # overflow at 709; sum_x p(x) exp(theta x) is taken as sum_a exp(theta a B)
-    # sum_b p(a B + b) exp(theta b), 2 sqrt(x) exps a theta, on the laws
-    # zero-padded to whole blocks of B
+    # each law's rounded mean c = rint(m a / (a + b)) and log-MGF about c on a
+    # grid of exponents theta, 17 a side, with theta * x within 256 of 0, far
+    # from exp's overflow at 709; sum_x p(x) exp(theta x) is taken as sum_a
+    # exp(theta a B) sum_b p(a B + b) exp(theta b), 2 sqrt(x) exps a theta, on
+    # the laws zero-padded to whole blocks of B.  No BLAS (so einsum): out of
+    # memory, OpenBLAS ends the process with exit 1 or hangs a forked worker
     x = np.arange(pmfs.shape[1])
-    centers = np.rint(pmfs @ x).astype(np.int64)
+    centers = np.rint(m * a / (a + b)).astype(np.int64)
     grid = [256.0 / (x.size - 1) * 2.0 ** (-i / 2.0) for i in range(17)]
     theta = np.array(grid + [-t for t in grid])  # the upper end, then the lower end
     block = math.isqrt(x.size - 1) + 1
@@ -395,7 +396,8 @@ def _effect_laws(n, counts, signs, prior, cuts):
     blocks = np.zeros((len(pmfs), -(-x.size // block) * block))
     blocks[:, : x.size] = pmfs
     sums = np.empty((len(pmfs), theta.size + 2))
-    inner = (blocks.reshape(-1, block) @ powers[:block]).reshape(len(pmfs), -1, theta.size)
+    inner = np.einsum("ib,bt->it", blocks.reshape(-1, block), powers[:block])
+    inner = inner.reshape(len(pmfs), -1, theta.size)
     np.log(np.einsum("lat,at->lt", inner, powers[block:]), out=sums[:, :-2])
     del blocks, inner
     sums[:, :-2] -= np.multiply.outer(centers, theta)

@@ -7,9 +7,9 @@ coverage of the true effect together with aggregate calibration
 fractions.
 
 Reproducibility contract: replication r of case c uses the RNG stream
-``SeedSequence(seed, spawn_key=(c, r))``.  Work therefore fans out
-across cases and replications freely; reports are reduced in sorted
-order, so results are byte-identical for any worker count.
+``SeedSequence(seed, spawn_key=(c, r))``.  Cases therefore fan out
+over worker processes freely; reports are reduced in sorted order, so
+results are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -327,14 +327,6 @@ def resolve_cases(config: StudyConfig) -> list[SimulationCase]:
     return load_fixture_cases(config.cases, expected_total=sum(config.arms))
 
 
-def _case_worker(args) -> list[CoverageReport]:
-    case, config = args
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(case.case_id,)))
-    return coverage_experiment(
-        case, config.arms, config.effect, config.replications, config.level, config.methods, rng
-    )
-
-
 def run_study(config: StudyConfig, threads: int | None = None) -> StudyReport:
     """Run the full coverage study described by ``config``.
 
@@ -345,7 +337,14 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyReport:
     n_arms = 2 ** cases[0].counts.k
     check_arms(config.arms, cases[0].n_units, n_arms)
     check_effect(config.effect, n_arms)
-    results = fan_out(_case_worker, [(case, config) for case in cases], threads, chunksize=4)
+
+    def experiment(case: SimulationCase) -> list[CoverageReport]:
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(case.case_id,)))
+        return coverage_experiment(
+            case, config.arms, config.effect, config.replications, config.level, config.methods, rng
+        )
+
+    results = fan_out(experiment, cases, threads)
     rows = sorted(
         (report for batch in results for report in batch),
         key=lambda r: (r.case_id, r.method),

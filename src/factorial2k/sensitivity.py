@@ -44,13 +44,6 @@ from .design import IntervalReport, ModelMatrix, lattice_step
 # exact 0/1 draws are a measure-zero event but would divide by zero.
 MARGINAL_EPS = 1e-12
 
-# Grid points a sweep hands to a worker at a time.  On the default sweep
-# (100 points of 50,000 draws, about 0.25 s each; 2 vCPUs, 2 workers) chunk
-# sizes 1, 2, 5 and 10 all took 12.1-13.5 s, with 1 and 5 at 12.87 s and
-# 12.84 s (means of four alternating runs).  One point at a time keeps short
-# grids, such as five points, spread over every worker.
-SWEEP_CHUNK = 1
-
 
 @dataclass(frozen=True)
 class GammaStructure:
@@ -218,13 +211,6 @@ def _check_interval(obs, matrix, l, draws, level) -> None:
     check_level(level)
 
 
-def _grid_point(job) -> IntervalReport:
-    """The interval at one grid point: the unit of work a sweep hands to a
-    worker process."""
-    obs, matrix, l, prior, rho, draws, level, rng = job
-    return interval(obs, matrix, l, prior, gamma_ar1(rho, obs.n_arms), draws, level, rng)
-
-
 @dataclass(frozen=True)
 class SweepResult:
     """Per-rho interval reports plus the widest ("conservative") one."""
@@ -259,10 +245,11 @@ def sweep(
     for rho in grid:
         check_rho(rho)
     _check_interval(obs, matrix, l, draws, level)
-    jobs = [
-        (obs, matrix, l, prior, float(rho), draws, level, stream)
-        for rho, stream in zip(grid, rng.spawn(grid.size))
-    ]
-    reports = fan_out(_grid_point, jobs, threads, chunksize=SWEEP_CHUNK)
+
+    def grid_point(job) -> IntervalReport:
+        rho, stream = job
+        return interval(obs, matrix, l, prior, gamma_ar1(rho, obs.n_arms), draws, level, stream)
+
+    reports = fan_out(grid_point, zip(grid.tolist(), rng.spawn(grid.size)), threads)
     widest = max(reports, key=lambda r: r.width)  # first max wins ties
     return SweepResult(reports=reports, conservative=widest)

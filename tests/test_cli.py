@@ -9,11 +9,11 @@ import jsonschema
 import numpy as np
 import pytest
 
-from factorial2k import CaseFileError, _fanout, bayes, cli, harness, sensitivity
+from factorial2k import CaseFileError, bayes, cli, harness, sensitivity
 from factorial2k.data import data_path
 
 from helpers import ZERO_TAIL_LEVEL, ZERO_TAIL_MESSAGE
-from test_fanout import NoPool
+from test_fanout import no_fork
 from test_harness import toy_rows, write_toy_config
 
 AHLUWALIA = data_path("ahluwalia.json")
@@ -715,6 +715,64 @@ class TestResourceLimits:
         assert "simulated allocation failure" in capsys.readouterr().err
 
 
+# Runs cli.main(argv) under RLIMIT_AS = VmSize + headroom, set after the
+# imports: the modules argparse and numpy load lazily are imported first, and
+# the stack is grown first, since the kernel counts its growth against the
+# limit and a stack that cannot grow is a SIGSEGV in any program.
+LIMITED_MAIN = """
+import json, resource, sys
+from factorial2k import cli
+import locale, numpy.fft, numpy.random
+sys.setrecursionlimit(30000)
+nested = []
+for _ in range(20000):
+    nested = [nested]
+repr(nested)
+del nested
+headroom, argv = json.loads(sys.argv[1])
+status = open("/proc/self/status").read().split()
+limit = int(status[status.index("VmSize:") + 1]) * 1024 + headroom
+resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(cli.main(argv))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+class TestAddressSpaceLimit:
+    """Out of address space, every command exits 0 or 3, never hanging and
+    never with a traceback: no worker waits on a thread or a BLAS buffer
+    that could not be made."""
+
+    HEADROOMS_MB = [0, 1 / 16, 1 / 4, 1, 4, 16, 64]
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["simulate", "--threads", "1"],
+            ["simulate", "--threads", "2"],
+            ["sensitivity", "--effect", "2", "--grid", "0:0.1:0.05", "--draws", "2000",
+             "--threads", "2", "--seed", "1"],
+            ["analyze", "--seed", "7"],
+        ],
+        ids=["simulate-1", "simulate-2", "sensitivity-2", "analyze"],
+    )
+    def test_exits_0_or_3(self, tmp_path, command):
+        if command[0] == "simulate":
+            config = write_toy_config(tmp_path, toy_rows(4))
+            command = command + ["--config", str(config), "--out-csv", str(tmp_path / "c.csv")]
+        else:
+            command = command + ["--input", str(AHLUWALIA), "--out", str(tmp_path / "r.json")]
+            if command[0] == "sensitivity":
+                command += ["--csv-out", str(tmp_path / "s.csv")]
+        for mb in self.HEADROOMS_MB:
+            cp = subprocess.run(
+                [sys.executable, "-c", LIMITED_MAIN, json.dumps([int(mb * 2**20), command])],
+                capture_output=True, text=True, timeout=60,
+            )
+            assert cp.returncode in (0, 3), (mb, cp.returncode, cp.stderr)
+            assert "Traceback" not in cp.stderr and "OpenBLAS error" not in cp.stderr, (mb, cp.stderr)
+
+
 TEST_PID = os.getpid()
 
 
@@ -779,7 +837,7 @@ class TestWorkers:
         assert list(tmp_path.iterdir()) == []
 
     def test_gamma_csv_runs_in_process(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(_fanout, "process_pool", NoPool)
+        monkeypatch.setattr(os, "fork", no_fork)
         gamma = tmp_path / "gamma.csv"
         gamma.write_text("\n".join(",".join(["0.5"] * 4) for _ in range(4)) + "\n")
         code, csv_out, _ = self.sensitivity(tmp_path, "s", "--gamma-csv", str(gamma), "--threads", "2")
@@ -797,7 +855,7 @@ class TestWorkers:
     def test_sweep_is_checked_before_any_worker(
         self, tmp_path, monkeypatch, capsys, k, extra, code, message
     ):
-        monkeypatch.setattr(_fanout, "process_pool", NoPool)
+        monkeypatch.setattr(os, "fork", no_fork)
         path = tmp_path / "in.json"
         j = 2**k
         path.write_text(json.dumps({"K": k, "n": [20] * j, "n_obs": [5] * j}))
@@ -1064,9 +1122,9 @@ class TestGenCases:
 
 class TestEntryPoints:
     def test_cli_import_leaves_scipy_out(self):
-        """numpy is the only runtime dependency, and the pool modules load
-        only when a pool is built: a fresh interpreter that imports the CLI
-        must load neither scipy nor multiprocessing or concurrent.futures."""
+        """numpy is the only runtime dependency, and workers are forked
+        without a pool: a fresh interpreter that imports the CLI must load
+        neither scipy nor multiprocessing or concurrent.futures."""
         code = (
             "import sys, factorial2k.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))"

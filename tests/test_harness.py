@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from factorial2k.harness import (
 )
 
 from helpers import CASE_1, pmf_quantiles
+from test_fanout import no_fork
 
 
 def toy_case(case_id=1, total=40):
@@ -333,7 +335,8 @@ class TestRunStudy:
     @pytest.mark.parametrize("threads", [0, -4, True, 2.5])
     def test_rejects_bad_thread_counts(self, tmp_path, monkeypatch, threads):
         """Nothing runs in-process in place of a refused count."""
-        monkeypatch.setattr(harness, "_case_worker", None)
+        monkeypatch.setattr(harness, "coverage_experiment", None)
+        monkeypatch.setattr(os, "fork", no_fork)
         (tmp_path / "cases.csv").write_text("\n".join(",".join(map(str, r)) for r in toy_rows(2)))
         config = StudyConfig(
             cases=str(tmp_path / "cases.csv"), arms=(10, 10, 10, 10), effect=1,

@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from factorial2k import ObservedData, _fanout
+from factorial2k import ObservedData
 from factorial2k.bayes import PriorSpec, draw_marginals, posterior_mean
 from factorial2k.bayes import draw_effect as draw_effect_indep
 from factorial2k.sensitivity import (
@@ -16,7 +18,7 @@ from factorial2k.sensitivity import (
 )
 
 from test_bayes import mc_se_mean
-from test_fanout import NoPool
+from test_fanout import no_fork
 
 
 def quadrature_draw_mean(obs, matrix, l, prior, rho):
@@ -311,7 +313,7 @@ class TestSweep:
     @pytest.mark.parametrize("threads", [0, -4, True, 2.5])
     def test_rejects_bad_thread_counts(self, monkeypatch, trial_obs, h2, threads):
         """Nothing runs in-process in place of a refused count."""
-        monkeypatch.setattr(_fanout, "process_pool", NoPool)
+        monkeypatch.setattr(os, "fork", no_fork)
         with pytest.raises(ValueError, match="^threads(:| must be at least 1$)"):
             sweep(
                 trial_obs, h2, 1, PriorSpec.uniform(4), [0.5], 1000, 0.95,
