@@ -36,6 +36,7 @@ def fan_out(fn, jobs, threads: int | None) -> list:
     if workers <= 1 or not hasattr(os, "fork"):
         return [fn(job) for job in jobs]
     results, pids, pipes = [None] * len(jobs), [], []  # pids: workers not yet reaped
+    parent = os.getpid()
     try:
         try:
             for w in range(workers):
@@ -44,7 +45,7 @@ def fan_out(fn, jobs, threads: int | None) -> list:
                 with write:  # the worker's own copy is closed in _work
                     pids.append(os.fork())
                     if not pids[-1]:
-                        _work(fn, jobs[w::workers], write)
+                        _work(fn, jobs[w::workers], write, parent)
         except OSError as exc:  # no process, memory or file descriptor left
             raise ResourceLimitError(f"could not start a worker process: {exc}") from exc
         for w, pipe in enumerate(pipes):
@@ -64,11 +65,16 @@ def fan_out(fn, jobs, threads: int | None) -> list:
             pipe.close()
 
 
-def _work(fn, jobs, pipe) -> None:
+def _work(fn, jobs, pipe, parent: int) -> None:
     """A forked worker: pipe back ``jobs``' results or exception, then exit."""
     try:
         try:
-            data = pickle.dumps((True, [fn(job) for job in jobs]))
+            results = []
+            for job in jobs:
+                if os.getppid() != parent:  # the parent is gone: no one reads the results
+                    os._exit(1)
+                results.append(fn(job))
+            data = pickle.dumps((True, results))
         except BaseException as exc:
             data = pickle.dumps((False, exc))
         pipe.write(data)

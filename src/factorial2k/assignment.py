@@ -23,7 +23,7 @@ import numpy as np
 
 from ._checks import check_arms, check_counts, check_factors, read_only, whole_numbers
 from .errors import ResourceLimitError
-from .population import PotentialTable
+from .population import CellCounts, PotentialTable
 
 MAX_ENUMERATION = 10_000_000
 
@@ -241,6 +241,23 @@ def observe(table: PotentialTable, arm_of: np.ndarray) -> np.ndarray:
     # over (row, arm, outcome) codes at the J <= 4 of a coverage study
     for j, success in enumerate(table.outcomes.T.astype(bool)):
         n_obs[:, j] = np.count_nonzero((arm_of == j + 1) & success, axis=1)
+    return n_obs
+
+
+def draw_counts(counts: CellCounts, arms, streams: Collection[np.random.Generator]) -> np.ndarray:
+    """``observe(from_cell_counts(counts), draw_assignment(arms, streams))``
+    with no unit table or arm matrix.  Row r shuffles the units' cells in
+    place on stream r, making the swaps of ``permutation(N)``, a shuffle of
+    ``arange(N)``; so arm j's units are the j-th block of positions, and a
+    cell's outcome under arm j is its bit J - j."""
+    sizes = check_arms(arms, counts.n_units, 2**counts.k).tolist()
+    cells = np.tile(np.repeat(np.arange(counts.counts.size), counts.counts), (len(streams), 1))
+    for row, stream in zip(cells, streams):
+        stream.shuffle(row)
+    n_obs = np.empty((len(cells), len(sizes)), dtype=np.int64)
+    for j, end in enumerate(itertools.accumulate(sizes)):
+        bit = 1 << len(sizes) - 1 - j  # arm 1 is a cell's most significant bit
+        n_obs[:, j] = np.count_nonzero(cells[:, end - sizes[j] : end] & bit, axis=1)
     return n_obs
 
 

@@ -1,10 +1,10 @@
 """Coverage simulation harness.
 
 A study takes a list of simulation cases (finite populations given as
-cell counts), repeatedly randomizes each one, builds the requested
-intervals from each replication's observed data, and reports per-case
-coverage of the true effect together with aggregate calibration
-fractions.
+cell counts), repeatedly randomizes each one by shuffling its units'
+cells, counts each arm's successes off the shuffled cells, builds the
+requested intervals from those counts, and reports per-case coverage of
+the true effect together with aggregate calibration fractions.
 
 Reproducibility contract: replication r of case c uses the RNG stream
 ``SeedSequence(seed, spawn_key=(c, r))``.  Cases therefore fan out
@@ -38,17 +38,18 @@ from ._checks import (
     whole_number,
 )
 from ._fanout import fan_out
-from .assignment import ChildStreams, ObservedData, draw_assignment, observe
+# perfbench/spans.py wraps draw_assignment and observe here by name, so both stay
+from .assignment import ChildStreams, ObservedData, draw_assignment, draw_counts, observe  # noqa: F401
 from .design import build_model_matrix, lattice_step
 from .errors import CaseFileError
-from .population import CellCounts, cell_patterns, from_cell_counts
+from .population import CellCounts, cell_patterns
 
 METHODS = ("neyman", "bayes-indep")
 COVERAGE_CSV_COLUMNS = ("case_id", "method", "coverage", "mean_width")
 DEFAULT_LEVEL = 0.95
 
 # Cell budget of one replication chunk of coverage_experiment: rows x N
-# units.  A chunk holds a few (rows, N) int64 arrays (256 KiB each).  At
+# units, in one (rows, N) int64 array of shuffled cells (256 KiB).  At
 # N = 800 on 2 vCPUs, budgets of 2^13 to 2^17 cells ran a Neyman-only
 # case equally fast within the timing noise, and each doubling past 2^14
 # raised a worker's peak memory by about 0.6-2.7 MB.
@@ -143,13 +144,13 @@ def coverage_experiment(
 ) -> list[CoverageReport]:
     """Replicate randomization + inference on one case; report coverage.
 
-    Replication r draws a fresh arm vector from its own stream: child r of
-    ``rng``'s PCG64 ``SeedSequence``, the stream a fresh ``rng.spawn``
-    hands out r-th.  :class:`ChildStreams` seeds the children in bulk; it
-    neither reads nor advances ``rng``'s spawn counter.  The replications
-    are drawn and their successes counted in row chunks of
-    ``ASSIGNMENT_CELLS`` cells into one read-only (R, J) array; every
-    replication has the design's arm sizes ``arms``.  Each method makes one
+    Replication r is drawn from child r of ``rng``'s PCG64
+    ``SeedSequence``, the stream a fresh ``rng.spawn`` hands out r-th,
+    seeded in bulk by :class:`ChildStreams` (``rng``'s spawn counter is
+    left alone).  :func:`draw_counts` shuffles the units' cells in place
+    and counts each arm's successes off them, in row chunks of
+    ``ASSIGNMENT_CELLS`` cells, into one read-only (R, J) array, with no
+    unit table or arm matrix.  Each method makes one
     (lower, upper) pair of (R,) arrays from it: Neyman from
     :meth:`ObservedData.rows`, which checks the array once, and one
     :func:`neyman.confidence_interval` per row, Bayes from one
@@ -162,26 +163,23 @@ def coverage_experiment(
     if not isinstance(rng.bit_generator, np.random.PCG64):
         kind = type(rng.bit_generator).__name__
         raise ValueError(f"replication streams need a PCG64 generator, got {kind}")
-    table = from_cell_counts(case.counts)
     matrix = build_model_matrix(case.counts.k)
     true_value = float(case.true_effects[l - 1])
 
     children = ChildStreams(rng.bit_generator.seed_seq)
     chunk = max(1, ASSIGNMENT_CELLS // case.n_units)
     # replication r gets child r whatever the chunk size
-    draws = (
-        draw_assignment(arms, children.streams(start, min(chunk, replications - start)))
-        for start in range(0, replications, chunk)
-    )
-    counts = np.concatenate([observe(table, arm_of) for arm_of in draws])
+    starts = range(0, replications, chunk)
+    streams = (children.streams(start, min(chunk, replications - start)) for start in starts)
+    counts = np.concatenate([draw_counts(case.counts, arms, batch) for batch in streams])
     counts.setflags(write=False)  # so the Neyman datasets view its rows, not a copy
     bounds = {}
     if "neyman" in methods:
-        datasets = ObservedData.rows(table.k, arms, counts)
+        datasets = ObservedData.rows(case.counts.k, arms, counts)
         intervals = (neyman.confidence_interval(obs, matrix, l, level) for obs in datasets)
         bounds["neyman"] = np.array([(i.lower, i.upper) for i in intervals]).T
     if "bayes-indep" in methods:
-        prior = bayes.PriorSpec.uniform(table.n_arms)
+        prior = bayes.PriorSpec.uniform(arms.size)
         bounds["bayes-indep"] = bayes.exact_bounds(arms, counts, matrix, l, prior, level)
     reports = []
     for method in methods:

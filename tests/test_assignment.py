@@ -6,14 +6,16 @@ import pytest
 from scipy import stats
 
 from factorial2k import (
+    CellCounts,
     ObservedData,
     PotentialTable,
     ResourceLimitError,
     draw_assignment,
     enumerate_assignments,
+    from_cell_counts,
     observe,
 )
-from factorial2k.assignment import ChildStreams
+from factorial2k.assignment import ChildStreams, draw_counts
 
 from helpers import random_table
 
@@ -310,6 +312,81 @@ class TestArmByArmTally:
         assert n_obs.shape == (126, 2)
         assert np.array_equal(expected_n, np.tile(arms, (126, 1)))
         assert np.array_equal(n_obs, expected_n_obs)
+
+
+def random_counts(rng, k, n_units):
+    """Cell counts of ``n_units`` units over the 2^(2^K) cells, the first
+    cell empty and the others drawn uniformly."""
+    n_cells = 2 ** (2**k)
+    counts = np.zeros(n_cells, dtype=np.int64)
+    counts[1:] = rng.multinomial(n_units, np.full(n_cells - 1, 1 / (n_cells - 1)))
+    return CellCounts(k=k, counts=counts)
+
+
+class TestDrawCounts:
+    """``draw_counts`` shuffles the units' cells in place and tallies bits;
+    it must count what ``observe`` counts on ``draw_assignment``'s arm
+    matrix from the same streams, so that coverage studies keep every
+    random number."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 40])
+    def test_equals_observe_of_drawn_assignments(self, k, rows):
+        rng = np.random.default_rng(4000 + 10 * k + rows)
+        for trial in range(5):
+            arms = rng.integers(2, 30, size=2**k)  # unequal arm sizes
+            counts = random_counts(rng, k, int(arms.sum()))
+            assert counts.counts[0] == 0
+            seed_seq = np.random.SeedSequence(trial, spawn_key=(k, rows))
+            expected = observe(
+                from_cell_counts(counts), draw_assignment(arms, ChildStreams(seed_seq).streams(0, rows))
+            )
+            drawn = draw_counts(counts, arms, ChildStreams(seed_seq).streams(0, rows))
+            assert drawn.dtype == np.int64 and drawn.shape == (rows, 2**k)
+            assert np.array_equal(drawn, expected)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_one_row_chunks_equal_one_whole_chunk(self, k):
+        """Replication r gets child r whether the study is drawn one row at
+        a time or in one chunk, and each stream ends where a lone
+        ``permutation(N)`` leaves it."""
+        rng = np.random.default_rng(4100 + k)
+        arms = rng.integers(2, 30, size=2**k)
+        counts = random_counts(rng, k, int(arms.sum()))
+        children = ChildStreams(np.random.SeedSequence(77))
+        whole = draw_counts(counts, arms, children.streams(0, 30))
+        rows = np.concatenate([draw_counts(counts, arms, children.streams(r, 1)) for r in range(30)])
+        assert np.array_equal(whole, rows)
+        streams = np.random.default_rng(9).spawn(3)
+        draw_counts(counts, arms, streams)
+        for stream, fresh in zip(streams, np.random.default_rng(9).spawn(3)):
+            fresh.permutation(int(arms.sum()))
+            assert stream.bit_generator.state == fresh.bit_generator.state
+
+    def test_rejects_arms_that_do_not_fit_the_counts(self):
+        counts = random_counts(np.random.default_rng(1), 2, 40)
+        with pytest.raises(ValueError, match="must sum to 40"):
+            draw_counts(counts, [10, 10, 10, 11], [np.random.default_rng(0)])
+        with pytest.raises(ValueError, match="expected 4 arm sizes"):
+            draw_counts(counts, [20, 20], [np.random.default_rng(0)])
+
+    @pytest.mark.parametrize("n_units", [1, 2, 14, 800])
+    def test_numpy_shuffle_is_the_permutation_of_its_values(self, n_units):
+        """numpy's contract that ``draw_counts`` rests on: for one stream
+        state, ``shuffle`` of an int64 array leaves ``values[permutation(N)]``
+        and the stream where ``permutation(N)`` leaves it.  A numpy that
+        breaks it would change coverage-study output, so it fails here."""
+        stream = np.random.default_rng(2027)
+        stream.random(3)
+        state = stream.bit_generator.state
+        permutation = stream.permutation(n_units)
+        after = stream.bit_generator.state
+        values = np.random.default_rng(5).integers(0, 16, size=n_units, dtype=np.int64)
+        stream.bit_generator.state = state
+        shuffled = values.copy()
+        stream.shuffle(shuffled)
+        assert np.array_equal(shuffled, values[permutation])
+        assert stream.bit_generator.state == after
 
 
 # Entropies and spawn-key prefixes of the bulk-seeding check: one- to

@@ -714,6 +714,17 @@ class TestResourceLimits:
         assert cli.main(["analyze", "--input", str(AHLUWALIA), "--seed", "1"]) == 3
         assert "simulated allocation failure" in capsys.readouterr().err
 
+    def test_bare_memory_error_is_named(self, monkeypatch, capsys):
+        """The interpreter raises MemoryError with no message; the error
+        line still says what ran out."""
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(bayes, "exact_intervals", exhausted)
+        assert cli.main(["analyze", "--input", str(AHLUWALIA), "--seed", "1"]) == 3
+        assert capsys.readouterr().err == "error: out of memory (MemoryError)\n"
+
 
 # Runs cli.main(argv) under RLIMIT_AS = VmSize + headroom, set after the
 # imports: the modules argparse and numpy load lazily are imported first, and

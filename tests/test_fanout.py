@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -171,3 +172,49 @@ def test_no_pool_module_is_imported():
         "if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
     )
     assert out == "[]\n"
+
+
+def running(pid):
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            state = stat.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc/<pid>/stat")
+def test_workers_stop_when_the_parent_is_killed():
+    """Each worker checks before a job that its parent is still there, so a
+    parent killed by SIGKILL leaves no worker running its other jobs (each
+    worker has 20 of 0.5 s here); a worker gone or a zombie has stopped.
+    Each worker writes its pid in one ``os.write``, so the lines do not
+    interleave."""
+    job_s = 0.5
+    code = (
+        "import os, time\n"
+        "from factorial2k import _fanout\n"
+        "def slow(x):\n"
+        "    os.write(1, b'%d\\n' % os.getpid())\n"
+        f"    time.sleep({job_s})\n"
+        "    return x\n"
+        "_fanout.fan_out(slow, range(40), 2)\n"
+    )
+    parent = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True)
+    workers = set()
+    try:
+        while len(workers) < 2:
+            workers.add(int(parent.stdout.readline()))
+        parent.kill()
+        parent.wait(timeout=30)
+        deadline = time.monotonic() + 4 * job_s
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, workers))
+    finally:
+        parent.kill()
+        parent.wait(timeout=30)
+        parent.stdout.close()
+        for pid in filter(running, workers):
+            os.kill(pid, 9)

@@ -187,10 +187,10 @@ class TestCoverageExperiment:
         assert report.lower == true_value
         assert estimands(from_cell_counts(case.counts), matrix).tau[0] < report.lower
 
-        def observe_tie(table, arm_of):
-            return np.tile(tie.n_obs, (len(arm_of), 1))
+        def draw_tie(counts, arms, streams):
+            return np.tile(tie.n_obs, (len(streams), 1))
 
-        monkeypatch.setattr(harness, "observe", observe_tie)
+        monkeypatch.setattr(harness, "draw_counts", draw_tie)
         [row] = coverage_experiment(
             case, np.array([10, 10, 10, 10]), 1, 5, 0.95, ["bayes-indep"], np.random.default_rng(7)
         )
@@ -517,7 +517,7 @@ class TestReplicationStreams:
         def no_draw(*args):
             raise AssertionError("drew an assignment")
 
-        monkeypatch.setattr(harness, "draw_assignment", no_draw)
+        monkeypatch.setattr(harness, "draw_counts", no_draw)
         with pytest.raises(ResourceLimitError, match="4294967297 replications exceed the bound"):
             coverage_experiment(
                 toy_case(), np.array([10, 10, 10, 10]), 1, 2**32 + 1, 0.95, ["neyman"],
