@@ -27,9 +27,9 @@ MAX_SWEEP_DRAWS = 2**27
 
 MAX_FACTORS = 10  # J x J dense storage stays trivial up to 1024 x 1024
 
-# Upper bound on the replications of one coverage case: replication r's
-# stream is child r of the case's SeedSequence, and the child index must
-# fit the one uint32 key word that the bulk seeding hashes.
+# Upper bound on the replications of one coverage case, which bounds its
+# (R, J) count array; kept from when each replication's stream key had to
+# fit one uint32 word, so that the same studies are accepted.
 MAX_REPLICATIONS = 2**32
 
 MAX_SEED = 2**64 - 1

@@ -1,11 +1,10 @@
 """Completely randomized assignment and observed-data extraction.
 
 Randomness flows through ``numpy.random.Generator`` streams seeded via
-``SeedSequence``; callers that need reproducible parallel fan-out give
-each replication its own child stream, so results do not depend on
-execution order.  :class:`ChildStreams` computes those children's PCG64
-states in bulk instead of building one ``SeedSequence`` and generator
-per replication.
+``SeedSequence``.  :func:`replication_counts` draws a coverage case's
+success counts from its cell counts with no assignment, each fixed block
+of replications on its own child stream, so results do not depend on
+execution order.
 
 The design fixes the arm sizes n_1..n_J, and with them N = sum n_j: every
 assignment drawn or enumerated here has exactly those sizes, so they are
@@ -15,7 +14,6 @@ taken from ``arms`` and never counted again.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 from typing import Collection, Iterator
 
@@ -27,14 +25,10 @@ from .population import CellCounts, PotentialTable
 
 MAX_ENUMERATION = 10_000_000
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_WORD = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_MASK = (1 << 128) - 1
+# Replications per block of a coverage case, each block on its own stream
+REPLICATION_BLOCK = 2**12
+# numpy's hypergeometric draw takes fewer than 10^9 units on either side
+MAX_CHAIN_UNITS = 10**9 - 1
 
 
 @dataclass(frozen=True)
@@ -101,108 +95,6 @@ class ObservedData:
         return self.n_obs / self.n
 
 
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """The first ``count`` values of a SeedSequence hash constant, which is
-    multiplied by ``mult`` at each word hashed."""
-    values = [init]
-    for _ in range(count - 1):
-        values.append(values[-1] * mult & _WORD)
-    return np.array(values, dtype=np.uint32)
-
-
-# generate_state(4, uint64) hashes 8 pool words; word i is xored with
-# constant i and multiplied by constant i + 1
-_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 9)
-
-
-def _word_count(value) -> int:
-    """How many uint32 words numpy's SeedSequence reads from an int, or a
-    sequence of ints, given as entropy or spawn key: each int's
-    little-endian 32-bit words, at least one."""
-    if isinstance(value, numbers.Integral):
-        return max(1, -(-int(value).bit_length() // 32))
-    return sum(_word_count(item) for item in value)
-
-
-class ChildStreams:
-    """The children of one ``SeedSequence`` as PCG64 streams, seeded in bulk.
-
-    Child i is the stream ``PCG64(SeedSequence(entropy, spawn_key=spawn_key
-    + (i,), pool_size=pool_size))`` that ``spawn`` hands out as its i-th
-    child, for i below 2^32 (one key word).  A child hashes the parent's
-    words (the entropy, zero-padded to the pool size, then the parent's
-    spawn key) and then its own key word.  numpy has already mixed the
-    parent's words into ``seed_seq.pool``, taking ``pool_size`` steps of
-    the hash constant per word, so the constant is read off the word
-    count.  :meth:`states` then mixes in each child's own key word and runs
-    ``generate_state(4, uint64)`` as uint32 array operations over all
-    requested children, and PCG64's 128-bit seeding step on Python ints.
-    The parent's spawn counter is not read or advanced.
-    """
-
-    def __init__(self, seed_seq: np.random.SeedSequence):
-        size = seed_seq.pool_size
-        words = max(_word_count(seed_seq.entropy), size) + _word_count(seed_seq.spawn_key)
-        hash_const = _INIT_A * pow(_MULT_A, size * words, _WORD + 1) & _WORD
-        # the child's key word is mixed into each pool word in turn:
-        # mix(pool, hashmix(key)), its left half the same for every child
-        self._pool_left = seed_seq.pool * np.uint32(_MIX_MULT_L)
-        self._key_constants = _hash_constants(hash_const, _MULT_A, size + 1)
-        self._state_words = np.arange(8) % size
-        self._generator = np.random.Generator(np.random.PCG64(seed_seq))
-
-    def states(self, start: int, count: int) -> list[dict]:
-        """The ``bit_generator.state`` of children ``start..start+count-1``."""
-        if not 0 <= start <= start + count <= 2**32:
-            raise ValueError(f"child indices {start}..{start + count - 1} are not all in 0..2^32-1")
-        key = (np.arange(count, dtype=np.uint64) + start).astype(np.uint32)[:, None]
-        hashed = (key ^ self._key_constants[:-1]) * self._key_constants[1:]
-        hashed ^= hashed >> 16
-        pool = self._pool_left - hashed * np.uint32(_MIX_MULT_R)
-        pool ^= pool >> 16
-        words = (pool[:, self._state_words] ^ _STATE_CONSTANTS[:-1]) * _STATE_CONSTANTS[1:]
-        words ^= words >> 16
-        # generate_state's uint64 words are little-endian uint32 pairs
-        seeds = np.ascontiguousarray(words, "<u4").view("<u8").tolist()
-        states = []
-        for seed_hi, seed_lo, inc_hi, inc_lo in seeds:
-            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _PCG_MASK
-            state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _PCG_MASK
-            states.append(
-                {
-                    "bit_generator": "PCG64",
-                    "state": {"state": state, "inc": inc},
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
-            )
-        return states
-
-    def streams(self, start: int, count: int) -> "_Reseeded":
-        """Children ``start..start+count-1`` for :func:`draw_assignment`:
-        one reused generator, set to each child's state in turn as the
-        iteration reaches it, so each stream must be used up before the
-        next is taken."""
-        return _Reseeded(self._generator, self.states(start, count))
-
-
-class _Reseeded:
-    """A sized iterable that yields one generator per state, each time set
-    to that state."""
-
-    def __init__(self, generator: np.random.Generator, states: list[dict]):
-        self._generator = generator
-        self._states = states
-
-    def __len__(self) -> int:
-        return len(self._states)
-
-    def __iter__(self) -> Iterator[np.random.Generator]:
-        for state in self._states:
-            self._generator.bit_generator.state = state
-            yield self._generator
-
-
 def draw_assignment(arms: np.ndarray, streams: Collection[np.random.Generator]) -> np.ndarray:
     """Uniform completely randomized assignments into groups of the given
     sizes, one per stream.
@@ -212,8 +104,7 @@ def draw_assignment(arms: np.ndarray, streams: Collection[np.random.Generator]) 
     assignment r.  Row r splits one ``permutation(N)`` call on the r-th
     stream into consecutive blocks, which makes every partition into
     labelled groups of sizes n_1..n_J equally likely.  The streams are
-    iterated once, in order, and each is drawn from before the next is
-    taken (as :meth:`ChildStreams.streams` requires).
+    iterated once, in order.
     """
     arms = check_arms(arms)
     labels = np.repeat(np.arange(1, arms.size + 1), arms)  # one per unit
@@ -244,20 +135,60 @@ def observe(table: PotentialTable, arm_of: np.ndarray) -> np.ndarray:
     return n_obs
 
 
-def draw_counts(counts: CellCounts, arms, streams: Collection[np.random.Generator]) -> np.ndarray:
-    """``observe(from_cell_counts(counts), draw_assignment(arms, streams))``
-    with no unit table or arm matrix.  Row r shuffles the units' cells in
-    place on stream r, making the swaps of ``permutation(N)``, a shuffle of
-    ``arange(N)``; so arm j's units are the j-th block of positions, and a
-    cell's outcome under arm j is its bit J - j."""
+def child_stream(seed_seq: np.random.SeedSequence, index: int) -> np.random.Generator:
+    """The PCG64 generator of the child ``seed_seq.spawn`` hands out
+    ``index``-th, built without advancing the parent's spawn counter."""
+    key = (*seed_seq.spawn_key, index)
+    child = np.random.SeedSequence(seed_seq.entropy, spawn_key=key, pool_size=seed_seq.pool_size)
+    return np.random.Generator(np.random.PCG64(child))
+
+
+def _chain(cells: np.ndarray, sizes: list[int], stream: np.random.Generator, rows: int):
+    """The (rows, J) success counts of ``rows`` uniform assignments of the
+    units with cell counts ``cells`` to arms of ``sizes``.
+
+    Arms are drawn in order 1..J.  Arm j takes its units from those the
+    earlier arms left, grouped by their outcomes under arms j..J, in
+    pattern order: each group but the last gives one hypergeometric draw
+    per row of the units still needed against those in the later groups;
+    the last group, like the last arm, gives the rest.  Arm j is the
+    groups' most significant bit, so its successes come from the upper
+    half of the groups.
+    """
+    left = np.repeat(cells[:, None], rows, axis=1)  # (groups, rows) units not yet assigned
+    n_obs = np.empty((rows, len(sizes)), dtype=np.int64)
+    for j, size in enumerate(sizes[:-1]):
+        taken = np.empty_like(left)
+        needed = np.full(rows, size, dtype=np.int64)
+        later = left.sum(axis=0)
+        for group, drawn in zip(left[:-1], taken[:-1]):
+            later -= group
+            drawn[:] = stream.hypergeometric(group, later, needed)
+            needed -= drawn
+        taken[-1] = needed
+        half = len(left) // 2
+        n_obs[:, j] = taken[half:].sum(axis=0)
+        left -= taken
+        left = left[:half] + left[half:]
+    n_obs[:, -1] = left[1]
+    return n_obs
+
+
+def replication_counts(counts: CellCounts, arms, seed_seq, replications: int) -> np.ndarray:
+    """The read-only (R, J) success counts of R uniform assignments of the
+    population ``counts``, drawn from its cell counts by :func:`_chain`:
+    block q of ``REPLICATION_BLOCK`` rows on ``child_stream(seed_seq, q)``,
+    a short last block drawing only its rows."""
     sizes = check_arms(arms, counts.n_units, 2**counts.k).tolist()
-    cells = np.tile(np.repeat(np.arange(counts.counts.size), counts.counts), (len(streams), 1))
-    for row, stream in zip(cells, streams):
-        stream.shuffle(row)
-    n_obs = np.empty((len(cells), len(sizes)), dtype=np.int64)
-    for j, end in enumerate(itertools.accumulate(sizes)):
-        bit = 1 << len(sizes) - 1 - j  # arm 1 is a cell's most significant bit
-        n_obs[:, j] = np.count_nonzero(cells[:, end - sizes[j] : end] & bit, axis=1)
+    if counts.n_units > MAX_CHAIN_UNITS:
+        raise ResourceLimitError(f"{counts.n_units} units exceed the draw's bound of {MAX_CHAIN_UNITS}")
+    starts = range(0, replications, REPLICATION_BLOCK)
+    blocks = [
+        _chain(counts.counts, sizes, child_stream(seed_seq, q), min(REPLICATION_BLOCK, replications - start))
+        for q, start in enumerate(starts)
+    ]
+    n_obs = np.concatenate(blocks)
+    n_obs.setflags(write=False)
     return n_obs
 
 

@@ -428,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
+    try:  # argparse may import modules lazily, and so run out of memory
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ResourceLimitError, MemoryError) as exc:  # the interpreter's MemoryError is bare
         print(f"error: {str(exc) or f'out of memory ({type(exc).__name__})'}", file=sys.stderr)

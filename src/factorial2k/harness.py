@@ -1,15 +1,16 @@
 """Coverage simulation harness.
 
 A study takes a list of simulation cases (finite populations given as
-cell counts), repeatedly randomizes each one by shuffling its units'
-cells, counts each arm's successes off the shuffled cells, builds the
+cell counts), repeatedly randomizes each one, drawing each replication's
+per-arm success counts straight from the case's cell counts, builds the
 requested intervals from those counts, and reports per-case coverage of
 the true effect together with aggregate calibration fractions.
 
-Reproducibility contract: replication r of case c uses the RNG stream
-``SeedSequence(seed, spawn_key=(c, r))``.  Cases therefore fan out
-over worker processes freely; reports are reduced in sorted order, so
-results are byte-identical for any worker count.
+Reproducibility contract: replication r of case c is drawn in block
+q = r // ``assignment.REPLICATION_BLOCK`` from the RNG stream
+``SeedSequence(seed, spawn_key=(c, q))``.  Cases therefore fan out over
+worker processes freely; reports are reduced in sorted order, so results
+are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from ._checks import (
 )
 from ._fanout import fan_out
 # perfbench/spans.py wraps draw_assignment and observe here by name, so both stay
-from .assignment import ChildStreams, ObservedData, draw_assignment, draw_counts, observe  # noqa: F401
+from .assignment import ObservedData, draw_assignment, observe, replication_counts  # noqa: F401
 from .design import build_model_matrix, lattice_step
 from .errors import CaseFileError
 from .population import CellCounts, cell_patterns
@@ -47,13 +48,6 @@ from .population import CellCounts, cell_patterns
 METHODS = ("neyman", "bayes-indep")
 COVERAGE_CSV_COLUMNS = ("case_id", "method", "coverage", "mean_width")
 DEFAULT_LEVEL = 0.95
-
-# Cell budget of one replication chunk of coverage_experiment: rows x N
-# units, in one (rows, N) int64 array of shuffled cells (256 KiB).  At
-# N = 800 on 2 vCPUs, budgets of 2^13 to 2^17 cells ran a Neyman-only
-# case equally fast within the timing noise, and each doubling past 2^14
-# raised a worker's peak memory by about 0.6-2.7 MB.
-ASSIGNMENT_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -144,14 +138,10 @@ def coverage_experiment(
 ) -> list[CoverageReport]:
     """Replicate randomization + inference on one case; report coverage.
 
-    Replication r is drawn from child r of ``rng``'s PCG64
-    ``SeedSequence``, the stream a fresh ``rng.spawn`` hands out r-th,
-    seeded in bulk by :class:`ChildStreams` (``rng``'s spawn counter is
-    left alone).  :func:`draw_counts` shuffles the units' cells in place
-    and counts each arm's successes off them, in row chunks of
-    ``ASSIGNMENT_CELLS`` cells, into one read-only (R, J) array, with no
-    unit table or arm matrix.  Each method makes one
-    (lower, upper) pair of (R,) arrays from it: Neyman from
+    :func:`replication_counts` draws the (R, J) success counts from the
+    case's cell counts, block q on child q of ``rng``'s PCG64
+    ``SeedSequence`` (``rng``'s spawn counter is left alone).  Each method
+    makes one (lower, upper) pair of (R,) arrays from them: Neyman from
     :meth:`ObservedData.rows`, which checks the array once, and one
     :func:`neyman.confidence_interval` per row, Bayes from one
     :func:`bayes.exact_bounds` call.  An interval covers when
@@ -166,13 +156,8 @@ def coverage_experiment(
     matrix = build_model_matrix(case.counts.k)
     true_value = float(case.true_effects[l - 1])
 
-    children = ChildStreams(rng.bit_generator.seed_seq)
-    chunk = max(1, ASSIGNMENT_CELLS // case.n_units)
-    # replication r gets child r whatever the chunk size
-    starts = range(0, replications, chunk)
-    streams = (children.streams(start, min(chunk, replications - start)) for start in starts)
-    counts = np.concatenate([draw_counts(case.counts, arms, batch) for batch in streams])
-    counts.setflags(write=False)  # so the Neyman datasets view its rows, not a copy
+    # read-only, so the Neyman datasets view its rows, not a copy
+    counts = replication_counts(case.counts, arms, rng.bit_generator.seed_seq, replications)
     bounds = {}
     if "neyman" in methods:
         datasets = ObservedData.rows(case.counts.k, arms, counts)

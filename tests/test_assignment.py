@@ -1,5 +1,8 @@
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -15,7 +18,8 @@ from factorial2k import (
     from_cell_counts,
     observe,
 )
-from factorial2k.assignment import ChildStreams, draw_counts
+from factorial2k._checks import MAX_REPLICATIONS
+from factorial2k.assignment import REPLICATION_BLOCK, _chain, child_stream, replication_counts
 
 from helpers import random_table
 
@@ -323,70 +327,153 @@ def random_counts(rng, k, n_units):
     return CellCounts(k=k, counts=counts)
 
 
+def chain_law(cells, sizes):
+    """The exact law of the per-arm success counts that the hypergeometric
+    chain draws, as Fractions: the sum, over every path of the chain, of
+    the product of its hypergeometric pmfs.  Arm j's groups are the
+    patterns of the units left on arms j..J, in pattern order; each takes
+    its share of the units still needed against the later groups."""
+    law = Counter()
+
+    def hypergeometric(k, good, bad, sample):
+        return Fraction(comb(good, k) * comb(bad, sample - k), comb(good + bad, sample))
+
+    def arm(j, left, successes, prob):
+        if j == len(sizes) - 1:  # the last arm takes what is left
+            law[(*successes, left[1])] += prob
+            return
+        half = len(left) // 2
+
+        def group(g, needed, taken, prob):
+            if g == len(left) - 1:
+                taken = (*taken, needed)
+                rest = [units - k for units, k in zip(left, taken)]
+                merged = [a + b for a, b in zip(rest[:half], rest[half:])]
+                arm(j + 1, merged, (*successes, sum(taken[half:])), prob)
+                return
+            later = sum(left[g + 1 :])
+            for k in range(max(0, needed - later), min(left[g], needed) + 1):
+                p = hypergeometric(k, left[g], later, needed)
+                group(g + 1, needed - k, (*taken, k), prob * p)
+
+        group(0, sizes[j], (), prob)
+
+    arm(0, list(cells), (), Fraction(1))
+    return law
+
+
+def enumerated_law(counts, arms):
+    """The histogram of ``observe`` over every assignment, as Fractions."""
+    batch = np.array(list(enumerate_assignments(np.array(arms))))
+    tally = Counter(map(tuple, observe(from_cell_counts(counts), batch).tolist()))
+    return {n_obs: Fraction(times, len(batch)) for n_obs, times in tally.items()}
+
+
+# Populations of N = 8 units: K = 2 cell vectors with empty cells (one
+# with a single pattern, one with every unit in distinct cells) and a
+# K = 1 population in unequal arms.
+LAW_CASES = [
+    (2, [1, 0, 2, 0, 0, 1, 0, 0, 1, 0, 0, 2, 0, 0, 1, 0], (2, 2, 2, 2)),
+    (2, [0] * 15 + [8], (2, 2, 2, 2)),
+    (2, [0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0], (2, 2, 2, 2)),
+    (2, [3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5], (2, 2, 2, 2)),
+    (1, [2, 1, 0, 5], (3, 5)),
+]
+LAW_IDS = ["scattered", "one-cell", "distinct", "two-cells", "k1"]
+
+
 class TestDrawCounts:
-    """``draw_counts`` shuffles the units' cells in place and tallies bits;
-    it must count what ``observe`` counts on ``draw_assignment``'s arm
-    matrix from the same streams, so that coverage studies keep every
-    random number."""
+    """``replication_counts`` draws each replication's per-arm success
+    counts from the case's cell counts, one hypergeometric chain per block
+    of ``REPLICATION_BLOCK`` replications on the block's child stream; the
+    chain's law must be the law of ``observe`` on a uniform assignment."""
+
+    @pytest.mark.parametrize("k, cells, arms", LAW_CASES, ids=LAW_IDS)
+    def test_chain_law_equals_the_enumerated_law(self, k, cells, arms):
+        counts = CellCounts(k=k, counts=cells)
+        law = chain_law(cells, list(arms))
+        assert sum(law.values()) == 1
+        assert law == enumerated_law(counts, arms)
+
+    @pytest.mark.parametrize("k, cells, arms", LAW_CASES, ids=LAW_IDS)
+    def test_draws_follow_the_chain(self, k, cells, arms):
+        """Block 0 replays the chain's draws, in its order, on child 0 of
+        the seed sequence; and every row lies in the law's support."""
+        seed_seq = np.random.SeedSequence(2028, spawn_key=(k,))
+        drawn = replication_counts(CellCounts(k=k, counts=cells), arms, seed_seq, 300)
+        assert drawn.dtype == np.int64 and drawn.shape == (300, 2**k)
+        assert not drawn.flags.writeable
+        stream, columns = child_stream(seed_seq, 0), []
+        left = np.tile(np.array(cells), (300, 1)).T
+        for size in arms[:-1]:
+            needed, taken = np.full(300, size), []
+            for g in range(len(left) - 1):
+                taken.append(stream.hypergeometric(left[g], left[g + 1 :].sum(axis=0), needed))
+                needed = needed - taken[-1]
+            taken = np.array([*taken, needed])
+            half = len(left) // 2
+            columns.append(taken[half:].sum(axis=0))
+            left = left - taken
+            left = left[:half] + left[half:]
+        columns.append(left[1])
+        assert np.array_equal(drawn, np.column_stack(columns))
+        law = chain_law(cells, list(arms))
+        assert all(tuple(row) in law for row in drawn.tolist())
+
+    @pytest.mark.parametrize("k, cells, arms", LAW_CASES[:1] + LAW_CASES[-1:], ids=["k2", "k1"])
+    def test_histogram_fits_the_exact_law(self, k, cells, arms):
+        """Two blocks of draws against the exact law, by a chi-square test
+        whose cells each expect at least 5 draws (the rest pooled)."""
+        replications = 2 * REPLICATION_BLOCK
+        seed_seq = np.random.SeedSequence(2029, spawn_key=(k,))
+        drawn = replication_counts(CellCounts(k=k, counts=cells), arms, seed_seq, replications)
+        seen = Counter(map(tuple, drawn.tolist()))
+        law = chain_law(cells, list(arms))
+        assert set(seen) <= set(law)
+        big = [n_obs for n_obs, p in law.items() if p * replications >= 5]
+        observed = [seen[n_obs] for n_obs in big]
+        expected = [float(law[n_obs]) * replications for n_obs in big]
+        pooled = 1 - sum(law[n_obs] for n_obs in big)
+        if pooled:
+            observed.append(replications - sum(observed))
+            expected.append(float(pooled) * replications)
+        assert stats.chisquare(observed, expected).pvalue > 1e-4
 
     @pytest.mark.parametrize("k", [1, 2])
-    @pytest.mark.parametrize("rows", [1, 40])
-    def test_equals_observe_of_drawn_assignments(self, k, rows):
-        rng = np.random.default_rng(4000 + 10 * k + rows)
-        for trial in range(5):
-            arms = rng.integers(2, 30, size=2**k)  # unequal arm sizes
-            counts = random_counts(rng, k, int(arms.sum()))
-            assert counts.counts[0] == 0
-            seed_seq = np.random.SeedSequence(trial, spawn_key=(k, rows))
-            expected = observe(
-                from_cell_counts(counts), draw_assignment(arms, ChildStreams(seed_seq).streams(0, rows))
-            )
-            drawn = draw_counts(counts, arms, ChildStreams(seed_seq).streams(0, rows))
-            assert drawn.dtype == np.int64 and drawn.shape == (rows, 2**k)
-            assert np.array_equal(drawn, expected)
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_one_row_chunks_equal_one_whole_chunk(self, k):
-        """Replication r gets child r whether the study is drawn one row at
-        a time or in one chunk, and each stream ends where a lone
-        ``permutation(N)`` leaves it."""
+    def test_first_block_does_not_depend_on_the_rest(self, k):
+        """Block q is drawn on child q alone: the first ``REPLICATION_BLOCK``
+        rows of R = B + 1 are the rows of R = B, and the last row is block
+        1's one-row draw; the caller's spawn counter is not advanced."""
         rng = np.random.default_rng(4100 + k)
         arms = rng.integers(2, 30, size=2**k)
         counts = random_counts(rng, k, int(arms.sum()))
-        children = ChildStreams(np.random.SeedSequence(77))
-        whole = draw_counts(counts, arms, children.streams(0, 30))
-        rows = np.concatenate([draw_counts(counts, arms, children.streams(r, 1)) for r in range(30)])
-        assert np.array_equal(whole, rows)
-        streams = np.random.default_rng(9).spawn(3)
-        draw_counts(counts, arms, streams)
-        for stream, fresh in zip(streams, np.random.default_rng(9).spawn(3)):
-            fresh.permutation(int(arms.sum()))
-            assert stream.bit_generator.state == fresh.bit_generator.state
+        seed_seq = np.random.SeedSequence(77, spawn_key=(k,))
+        whole = replication_counts(counts, arms, seed_seq, REPLICATION_BLOCK)
+        longer = replication_counts(counts, arms, seed_seq, REPLICATION_BLOCK + 1)
+        assert np.array_equal(longer[:REPLICATION_BLOCK], whole)
+        lone = _chain(counts.counts, arms.tolist(), child_stream(seed_seq, 1), 1)
+        assert np.array_equal(longer[REPLICATION_BLOCK:], lone)
+        assert seed_seq.n_children_spawned == 0
 
     def test_rejects_arms_that_do_not_fit_the_counts(self):
         counts = random_counts(np.random.default_rng(1), 2, 40)
+        seed_seq = np.random.SeedSequence(0)
         with pytest.raises(ValueError, match="must sum to 40"):
-            draw_counts(counts, [10, 10, 10, 11], [np.random.default_rng(0)])
+            replication_counts(counts, [10, 10, 10, 11], seed_seq, 1)
         with pytest.raises(ValueError, match="expected 4 arm sizes"):
-            draw_counts(counts, [20, 20], [np.random.default_rng(0)])
+            replication_counts(counts, [20, 20], seed_seq, 1)
 
-    @pytest.mark.parametrize("n_units", [1, 2, 14, 800])
-    def test_numpy_shuffle_is_the_permutation_of_its_values(self, n_units):
-        """numpy's contract that ``draw_counts`` rests on: for one stream
-        state, ``shuffle`` of an int64 array leaves ``values[permutation(N)]``
-        and the stream where ``permutation(N)`` leaves it.  A numpy that
-        breaks it would change coverage-study output, so it fails here."""
-        stream = np.random.default_rng(2027)
-        stream.random(3)
-        state = stream.bit_generator.state
-        permutation = stream.permutation(n_units)
-        after = stream.bit_generator.state
-        values = np.random.default_rng(5).integers(0, 16, size=n_units, dtype=np.int64)
-        stream.bit_generator.state = state
-        shuffled = values.copy()
-        stream.shuffle(shuffled)
-        assert np.array_equal(shuffled, values[permutation])
-        assert stream.bit_generator.state == after
+    def test_refuses_more_units_than_the_sampler_takes(self):
+        counts = CellCounts(k=1, counts=[0, 0, 0, 10**9])
+        arms = [5 * 10**8, 5 * 10**8]
+        with pytest.raises(ResourceLimitError, match="1000000000 units exceed the draw.s bound"):
+            replication_counts(counts, arms, np.random.SeedSequence(0), 1)
+        counts = CellCounts(k=1, counts=[0, 0, 1, 10**9 - 2])
+        [[treated, control]] = replication_counts(
+            counts, [2, 10**9 - 3], np.random.SeedSequence(0), 1
+        )
+        # arm 1 takes both units from cells 2 and 3, where Y(1) = 1
+        assert treated == 2 and control in (10**9 - 4, 10**9 - 3)
 
 
 # Entropies and spawn-key prefixes of the bulk-seeding check: one- to
@@ -408,9 +495,10 @@ WORD_COUNT_IDS = ["list", "list-(7,2^70)", "6-word-list", "10-word", "10-word-(7
 
 
 class TestChildStreams:
-    """``ChildStreams`` reimplements numpy's SeedSequence hashing and PCG64
-    seeding; its states must equal those numpy builds for the same children,
-    so a change in numpy's seeding fails here."""
+    """``child_stream`` builds child q of a ``SeedSequence`` from the
+    parent's entropy, spawn key and pool size; its generator must be the
+    one numpy's ``spawn`` hands out q-th, whatever the word counts of the
+    entropy and key, and the parent's spawn counter must stay at 0."""
 
     @staticmethod
     def spawned_states(seed_seq, count):
@@ -421,22 +509,17 @@ class TestChildStreams:
     def test_states_equal_spawned_children(self, seed, prefix):
         seed_seq = np.random.SeedSequence(seed, spawn_key=prefix)
         expected = self.spawned_states(np.random.SeedSequence(seed, spawn_key=prefix), 82)
-        children = ChildStreams(seed_seq)
-        for start in (0, 39, 40, 41):
-            assert children.states(start, 82 - start) == expected[start:]
-        # one run of children split into chunks, as a coverage case asks for them
-        chunks = [children.states(start, min(40, 82 - start)) for start in range(0, 82, 40)]
-        assert sum(chunks, []) == expected
+        states = [child_stream(seed_seq, index).bit_generator.state for index in range(82)]
+        assert states == expected
         assert seed_seq.n_children_spawned == 0
 
     def test_default_rng_streams(self):
-        """A generator's own SeedSequence (empty prefix): each reseeded
-        stream draws the first permutation its spawned child draws."""
+        """A generator's own SeedSequence (empty prefix): each child stream
+        draws the first permutation its spawned child draws."""
         seed_seq = np.random.default_rng(404).bit_generator.seed_seq
         spawned = np.random.default_rng(404).spawn(41)
-        reseeded = ChildStreams(seed_seq).streams(0, 41)
-        assert len(reseeded) == 41
-        for stream, child in zip(reseeded, spawned):
+        for index, child in enumerate(spawned):
+            stream = child_stream(seed_seq, index)
             assert stream.bit_generator.state == child.bit_generator.state
             assert np.array_equal(stream.permutation(800), child.permutation(800))
 
@@ -444,38 +527,37 @@ class TestChildStreams:
     def test_first_permutation_equals_spawned_child(self, seed):
         seed_seq = np.random.SeedSequence(seed, spawn_key=(7,))
         spawned = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(7,))).spawn(45)
-        children = ChildStreams(seed_seq)
-        for start in (0, 39, 40, 41):
-            for stream, child in zip(children.streams(start, 45 - start), spawned[start:]):
-                first = np.random.default_rng(child.bit_generator.seed_seq).permutation(800)
-                assert np.array_equal(stream.permutation(800), first)
+        for index, child in enumerate(spawned):
+            first = np.random.default_rng(child.bit_generator.seed_seq).permutation(800)
+            assert np.array_equal(child_stream(seed_seq, index).permutation(800), first)
 
     def test_larger_pool(self):
         seed_seq = np.random.SeedSequence(2**70 + 9, spawn_key=(3, 4), pool_size=9)
         expected = self.spawned_states(
             np.random.SeedSequence(2**70 + 9, spawn_key=(3, 4), pool_size=9), 12
         )
-        assert ChildStreams(seed_seq).states(0, 12) == expected
+        assert [child_stream(seed_seq, i).bit_generator.state for i in range(12)] == expected
 
     @pytest.mark.parametrize("pool_size", [4, 9])
     @pytest.mark.parametrize("entropy, prefix", WORD_COUNT_CASES, ids=WORD_COUNT_IDS)
     def test_word_count_of_the_pool(self, entropy, prefix, pool_size):
-        """The hash constant is read off the word count of entropy and key,
-        which differs from their lengths: list entropy, an entropy longer
-        than the pool, key words past one uint32."""
+        """List entropy, an entropy longer than the pool, and key words
+        past one uint32 all reach the child as numpy's spawn passes them."""
 
         def seed_seq():
             return np.random.SeedSequence(entropy, spawn_key=prefix, pool_size=pool_size)
 
-        children, spawned = ChildStreams(seed_seq()), seed_seq().spawn(41)
-        assert children.states(0, 41) == [np.random.PCG64(child).state for child in spawned]
-        for stream, child in zip(children.streams(0, 41), spawned):
+        parent, spawned = seed_seq(), seed_seq().spawn(41)
+        for index, child in enumerate(spawned):
+            stream = child_stream(parent, index)
+            assert stream.bit_generator.state == np.random.PCG64(child).state
             first = np.random.default_rng(child).permutation(800)
             assert np.array_equal(stream.permutation(800), first)
 
     def test_child_index_fits_one_word(self):
-        seed_seq = np.random.SeedSequence(5)
+        """Every block a coverage case can reach has a one-word key, and
+        the last one-word key gives the spawned child of that key."""
+        assert (MAX_REPLICATIONS - 1) // REPLICATION_BLOCK < 2**32
         last = np.random.SeedSequence(5, spawn_key=(2**32 - 1,))
-        assert ChildStreams(seed_seq).states(2**32 - 1, 1) == [np.random.PCG64(last).state]
-        with pytest.raises(ValueError, match="not all in 0..2"):
-            ChildStreams(seed_seq).states(2**32 - 1, 2)
+        stream = child_stream(np.random.SeedSequence(5), 2**32 - 1)
+        assert stream.bit_generator.state == np.random.PCG64(last).state

@@ -22,12 +22,11 @@ from factorial2k.bayes import (
     _effect_laws,
     _wrap,
 )
-from factorial2k.assignment import ChildStreams, draw_assignment, observe
+from factorial2k.assignment import replication_counts
 from factorial2k.data import data_path
 from factorial2k.design import build_model_matrix, lattice_step
 from factorial2k.harness import StudyConfig, resolve_cases
 from factorial2k.neyman import point_estimate
-from factorial2k.population import from_cell_counts
 
 from helpers import ZERO_TAIL, pmf_quantiles, random_observed
 
@@ -493,9 +492,8 @@ class TestCircularWindow:
         is narrower than the sum of the arms' trimmed supports."""
         config = StudyConfig.from_json(data_path(study))
         case, arms = resolve_cases(config)[0], np.array(config.arms)
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(case.case_id,)))
-        streams = ChildStreams(rng.bit_generator.seed_seq).streams(0, 50)
-        counts = observe(from_cell_counts(case.counts), draw_assignment(arms, streams))
+        seed_seq = np.random.SeedSequence(config.seed, spawn_key=(case.case_id,))
+        counts = replication_counts(case.counts, arms, seed_seq, 50)
         matrix, prior, step = build_model_matrix(2), PriorSpec.uniform(4), lattice_step(2, 800)
         level = config.level
         cuts = (TRIM * (1.0 - level) / 2.0, TRIM * (1.0 - (1.0 + level) / 2.0))

@@ -725,6 +725,17 @@ class TestResourceLimits:
         assert cli.main(["analyze", "--input", str(AHLUWALIA), "--seed", "1"]) == 3
         assert capsys.readouterr().err == "error: out of memory (MemoryError)\n"
 
+    def test_memory_error_while_parsing_maps_to_exit_3(self, monkeypatch, capsys):
+        """Building the parser imports modules on first use; running out of
+        memory there exits 3 like any other allocation failure."""
+
+        def exhausted():
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "build_parser", exhausted)
+        assert cli.main(["analyze", "--input", str(AHLUWALIA)]) == 3
+        assert capsys.readouterr().err == "error: out of memory (MemoryError)\n"
+
 
 # Runs cli.main(argv) under RLIMIT_AS = VmSize + headroom, set after the
 # imports: the modules argparse and numpy load lazily are imported first, and

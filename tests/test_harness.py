@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from factorial2k import CaseFileError, CellCounts, ObservedData, bayes, estimands, from_cell_counts
-from factorial2k import ResourceLimitError, harness, neyman
+from factorial2k import ResourceLimitError, enumerate_assignments, harness, neyman
+from factorial2k.assignment import REPLICATION_BLOCK, replication_counts
 from factorial2k.data import data_path
 from factorial2k.design import build_model_matrix, lattice_step
 from factorial2k.harness import (
@@ -187,10 +188,10 @@ class TestCoverageExperiment:
         assert report.lower == true_value
         assert estimands(from_cell_counts(case.counts), matrix).tau[0] < report.lower
 
-        def draw_tie(counts, arms, streams):
-            return np.tile(tie.n_obs, (len(streams), 1))
+        def draw_tie(counts, arms, seed_seq, replications):
+            return np.tile(tie.n_obs, (replications, 1))
 
-        monkeypatch.setattr(harness, "draw_counts", draw_tie)
+        monkeypatch.setattr(harness, "replication_counts", draw_tie)
         [row] = coverage_experiment(
             case, np.array([10, 10, 10, 10]), 1, 5, 0.95, ["bayes-indep"], np.random.default_rng(7)
         )
@@ -430,13 +431,12 @@ class TestBatchedBayes:
     REPLICATIONS = 100
 
     def reference(self, case, config):
-        table, matrix = from_cell_counts(case.counts), build_model_matrix(case.counts.k)
-        arms, true_value = np.array(config.arms), float(case.true_effects[config.effect - 1])
-        prior, step = bayes.PriorSpec.uniform(table.n_arms), lattice_step(case.counts.k, case.n_units)
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(case.case_id,)))
+        matrix, arms = build_model_matrix(case.counts.k), np.array(config.arms)
+        true_value = float(case.true_effects[config.effect - 1])
+        prior, step = bayes.PriorSpec.uniform(arms.size), lattice_step(case.counts.k, case.n_units)
+        seed_seq = np.random.SeedSequence(config.seed, spawn_key=(case.case_id,))
         covered, width_sum = 0, 0.0
-        for stream in rng.spawn(self.REPLICATIONS):
-            [n_obs] = harness.observe(table, harness.draw_assignment(arms, [stream]))
+        for n_obs in replication_counts(case.counts, arms, seed_seq, self.REPLICATIONS):
             obs = ObservedData(k=case.counts.k, n=arms, n_obs=n_obs)
             offset, pmf = bayes.predictive_pmf(obs, matrix, config.effect, prior)
             lower, upper = pmf_quantiles(offset, pmf, step, config.level)
@@ -464,60 +464,115 @@ class TestBatchedBayes:
 
 
 class TestReplicationChunks:
-    """``coverage_experiment`` draws and tallies its replications in row
-    chunks of ``harness.ASSIGNMENT_CELLS`` cells; no chunk boundary may
-    change a report, and the Neyman row must equal the same streams taken
-    one replication at a time."""
+    """``coverage_experiment`` draws its replications in fixed blocks of
+    ``REPLICATION_BLOCK``, block q on child q of the case's stream; the
+    first block's counts must not depend on a later block, and the Neyman
+    report must equal the drawn counts taken one replication at a time."""
 
     SEED = 404
 
     def case(self):
         return load_fixture_cases(data_path("cases_balanced_800.csv"))[0]
 
-    def run(self, case, replications):
+    def run(self, case, replications, monkeypatch):
+        drawn = []
+
+        def recorded(*args):
+            drawn.append(replication_counts(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(harness, "replication_counts", recorded)
         rng = np.random.default_rng(self.SEED)
         arms = np.array([200, 200, 200, 200])
-        methods = ["neyman", "bayes-indep"]
-        return coverage_experiment(case, arms, 1, replications, 0.95, methods, rng)
+        [report] = coverage_experiment(case, arms, 1, replications, 0.95, ["neyman"], rng)
+        monkeypatch.undo()
+        [counts] = drawn
+        return report, counts
 
-    def neyman_reference(self, case, replications):
-        table, matrix = from_cell_counts(case.counts), build_model_matrix(case.counts.k)
-        arms, true_value = np.array([200, 200, 200, 200]), float(case.true_effects[0])
-        covered, width_sum = 0, 0.0
-        for stream in np.random.default_rng(self.SEED).spawn(replications):
-            [n_obs] = harness.observe(table, harness.draw_assignment(arms, [stream]))
+    def neyman_reference(self, case, counts):
+        matrix, arms = build_model_matrix(case.counts.k), np.array([200, 200, 200, 200])
+        true_value, covered, width_sum = float(case.true_effects[0]), 0, 0.0
+        for n_obs in counts:
             obs = ObservedData(k=case.counts.k, n=arms, n_obs=n_obs)
             report = neyman.confidence_interval(obs, matrix, 1, 0.95)
             covered += report.lower <= true_value <= report.upper
             width_sum += report.upper - report.lower
-        return covered / replications, width_sum / replications
+        return covered / len(counts), width_sum / len(counts)
 
     def test_reports_do_not_depend_on_chunks(self, monkeypatch):
         case = self.case()
-        chunk = harness.ASSIGNMENT_CELLS // case.n_units
-        assert chunk > 2
-        for replications in (1, chunk - 1, chunk, chunk + 1):
-            reports = self.run(case, replications)
-            neyman_row = next(r for r in reports if r.method == "neyman")
-            assert (neyman_row.coverage, neyman_row.mean_width) == self.neyman_reference(
-                case, replications
-            )
-            for budget in (1, 10**12):  # one row per chunk, all rows in one chunk
-                monkeypatch.setattr(harness, "ASSIGNMENT_CELLS", budget)
-                assert self.run(case, replications) == reports
-            monkeypatch.undo()
+        block, block_counts = self.run(case, REPLICATION_BLOCK, monkeypatch)
+        longer, counts = self.run(case, REPLICATION_BLOCK + 1, monkeypatch)
+        assert counts.shape == (REPLICATION_BLOCK + 1, 4)
+        assert np.array_equal(counts[:REPLICATION_BLOCK], block_counts)
+        for report, drawn in ((block, block_counts), (longer, counts)):
+            assert (report.coverage, report.mean_width) == self.neyman_reference(case, drawn)
+
+
+class TestExactCoverage:
+    """At N = 8 in arms (2, 2, 2, 2), all 2,520 assignments give each
+    method's exact coverage of a population as a finite sum; the rate
+    ``coverage_experiment`` reports must lie within 4 binomial standard
+    errors of it, or equal it when it is 0 or 1.  This checks the streams,
+    the draws, the intervals and the comparison end to end."""
+
+    ARMS = np.array([2, 2, 2, 2])
+    REPLICATIONS = 2 * REPLICATION_BLOCK + 500
+    POPULATIONS = [
+        [0, 3, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1],
+        [0, 0, 0, 0, 0, 1, 2, 1, 0, 0, 1, 2, 0, 0, 0, 1],
+        [1, 2, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0, 0, 0, 1],
+        [1, 0, 0, 2, 0, 1, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0],
+        [0] * 15 + [8],
+    ]
+
+    def exact_coverage(self, case, l):
+        batch = np.array(list(enumerate_assignments(self.ARMS)))
+        counts = harness.observe(from_cell_counts(case.counts), batch)
+        counts.setflags(write=False)
+        matrix, true_value = build_model_matrix(2), float(case.true_effects[l - 1])
+        datasets = ObservedData.rows(2, self.ARMS, counts)
+        intervals = [neyman.confidence_interval(obs, matrix, l, 0.95) for obs in datasets]
+        bounds = {
+            "neyman": (np.array([i.lower for i in intervals]), np.array([i.upper for i in intervals])),
+            "bayes-indep": bayes.exact_bounds(
+                self.ARMS, counts, matrix, l, bayes.PriorSpec.uniform(4), 0.95
+            ),
+        }
+        return {
+            method: float(np.mean((lower <= true_value) & (true_value <= upper)))
+            for method, (lower, upper) in bounds.items()
+        }
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    @pytest.mark.parametrize("population", range(5))
+    def test_rate_within_four_standard_errors_of_the_exact_coverage(self, population, l):
+        cells = self.POPULATIONS[population]
+        case = SimulationCase.from_counts(population + 1, CellCounts(k=2, counts=cells))
+        exact = self.exact_coverage(case, l)
+        rng = np.random.default_rng(np.random.SeedSequence(2028, spawn_key=(population, l)))
+        reports = coverage_experiment(
+            case, self.ARMS, l, self.REPLICATIONS, 0.95, harness.METHODS, rng
+        )
+        for report in reports:
+            expected = exact[report.method]
+            if expected in (0.0, 1.0):
+                assert report.coverage == expected
+            else:
+                se = (expected * (1 - expected) / self.REPLICATIONS) ** 0.5
+                assert abs(report.coverage - expected) <= 4 * se, (report, expected)
 
 
 class TestReplicationStreams:
-    """Replication r's stream is child r of the case generator's
-    SeedSequence, seeded in bulk; the child index must fit one uint32 key
-    word, and the generator's own spawn counter is left alone."""
+    """Block q of a case's replications is drawn on child q of the case
+    generator's SeedSequence; the replication count keeps its bound, and
+    the generator's own spawn counter is left alone."""
 
     def test_refuses_replications_past_the_key_bound(self, monkeypatch):
         def no_draw(*args):
             raise AssertionError("drew an assignment")
 
-        monkeypatch.setattr(harness, "draw_counts", no_draw)
+        monkeypatch.setattr(harness, "replication_counts", no_draw)
         with pytest.raises(ResourceLimitError, match="4294967297 replications exceed the bound"):
             coverage_experiment(
                 toy_case(), np.array([10, 10, 10, 10]), 1, 2**32 + 1, 0.95, ["neyman"],
@@ -551,17 +606,18 @@ class TestReplicationStreams:
 class TestReplicationContract:
     """Pins the ``simulate`` CSV of a small fixed-seed study (the first 3
     balanced fixture cases, 50 replications, both methods) to the bytes it
-    had when every replication was drawn and tallied on its own; only a
-    change in how random numbers are consumed may change them."""
+    has since each block of replications is drawn as one hypergeometric
+    chain over the case's cells; only a change in how random numbers are
+    consumed may change them."""
 
     EXPECTED = (
         b"case_id,method,coverage,mean_width\r\n"
-        b"1,bayes-indep,0.98,0.11793750000000001\r\n"
-        b"1,neyman,1.0,0.13741948780223512\r\n"
-        b"2,bayes-indep,0.92,0.11817499999999999\r\n"
-        b"2,neyman,0.98,0.13760616165496\r\n"
-        b"3,bayes-indep,0.88,0.11592500000000003\r\n"
-        b"3,neyman,0.94,0.13497583571222752\r\n"
+        b"1,bayes-indep,0.94,0.11796250000000003\r\n"
+        b"1,neyman,0.98,0.13741411443732918\r\n"
+        b"2,bayes-indep,0.98,0.11828750000000003\r\n"
+        b"2,neyman,0.98,0.1377707804843002\r\n"
+        b"3,bayes-indep,1.0,0.11577500000000002\r\n"
+        b"3,neyman,1.0,0.1348219923253634\r\n"
     )
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -576,16 +632,15 @@ class TestReplicationContract:
         assert (tmp_path / "coverage.csv").read_bytes() == self.EXPECTED
 
     # the first 3 generated cases of the bundled imbalanced study, 50
-    # replications, both methods: bytes written before the exact bounds were
-    # read off a circular window
+    # replications, both methods
     IMBALANCED = (
         b"case_id,method,coverage,mean_width\r\n"
-        b"1,bayes-indep,0.92,0.12275\r\n"
-        b"1,neyman,0.94,0.1416608820883572\r\n"
-        b"2,bayes-indep,0.92,0.12151250000000001\r\n"
-        b"2,neyman,0.94,0.14029028214809933\r\n"
-        b"3,bayes-indep,0.92,0.12380000000000001\r\n"
-        b"3,neyman,0.94,0.14303033836827175\r\n"
+        b"1,bayes-indep,0.96,0.12267499999999996\r\n"
+        b"1,neyman,0.98,0.14161019264301836\r\n"
+        b"2,bayes-indep,0.94,0.1211875\r\n"
+        b"2,neyman,0.96,0.13993241665397402\r\n"
+        b"3,bayes-indep,0.92,0.12393749999999998\r\n"
+        b"3,neyman,1.0,0.1431293871281105\r\n"
     )
 
     # a one-method study writes the header and exactly that method's rows
@@ -608,21 +663,21 @@ class TestReplicationContract:
     BY_EFFECT = {
         2: (
             b"case_id,method,coverage,mean_width\r\n"
-            b"1,bayes-indep,0.94,0.11795\r\n"
-            b"1,neyman,0.94,0.13741948780223512\r\n"
-            b"2,bayes-indep,0.96,0.11811250000000001\r\n"
-            b"2,neyman,0.98,0.13760616165496\r\n"
-            b"3,bayes-indep,0.94,0.11593750000000001\r\n"
-            b"3,neyman,0.98,0.13497583571222754\r\n"
+            b"1,bayes-indep,1.0,0.117925\r\n"
+            b"1,neyman,1.0,0.13741411443732918\r\n"
+            b"2,bayes-indep,0.92,0.11823750000000004\r\n"
+            b"2,neyman,0.96,0.13777078048430022\r\n"
+            b"3,bayes-indep,0.96,0.11581250000000003\r\n"
+            b"3,neyman,0.96,0.13482199232536346\r\n"
         ),
         3: (
             b"case_id,method,coverage,mean_width\r\n"
-            b"1,bayes-indep,1.0,0.11798750000000005\r\n"
-            b"1,neyman,1.0,0.13741948780223512\r\n"
-            b"2,bayes-indep,0.94,0.11815000000000002\r\n"
-            b"2,neyman,0.96,0.13760616165496\r\n"
-            b"3,bayes-indep,0.94,0.1159\r\n"
-            b"3,neyman,0.98,0.13497583571222752\r\n"
+            b"1,bayes-indep,0.98,0.11800000000000001\r\n"
+            b"1,neyman,1.0,0.13741411443732918\r\n"
+            b"2,bayes-indep,0.98,0.11831250000000003\r\n"
+            b"2,neyman,0.98,0.13777078048430022\r\n"
+            b"3,bayes-indep,0.94,0.11581249999999998\r\n"
+            b"3,neyman,0.96,0.13482199232536346\r\n"
         ),
     }
 
@@ -642,12 +697,12 @@ class TestReplicationContract:
     # replications, both methods
     ONE_FACTOR = (
         b"case_id,method,coverage,mean_width\r\n"
-        b"1,bayes-indep,1.0,0.13215\r\n"
-        b"1,neyman,1.0,0.18762722200183024\r\n"
-        b"2,bayes-indep,0.92,0.12399999999999999\r\n"
-        b"2,neyman,0.96,0.17676470520781493\r\n"
-        b"3,bayes-indep,1.0,0.13155\r\n"
-        b"3,neyman,1.0,0.1870782556650747\r\n"
+        b"1,bayes-indep,0.98,0.13219999999999998\r\n"
+        b"1,neyman,1.0,0.18764943615369956\r\n"
+        b"2,bayes-indep,0.92,0.12485000000000003\r\n"
+        b"2,neyman,1.0,0.17754910610063668\r\n"
+        b"3,bayes-indep,1.0,0.13165000000000002\r\n"
+        b"3,neyman,1.0,0.18718011627255465\r\n"
     )
 
     @pytest.mark.parametrize("threads", [1, 2])
