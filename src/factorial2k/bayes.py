@@ -53,8 +53,11 @@ convolution itself, so a bound moves only if the exact CDF is that close
 to its threshold; the test suite finds no such case in 3,000 random
 datasets, nor on 300 more up to K = 4 and on small arms at K = 6 and 7.
 Past its support a row's circle holds only round-off and wrapped mass,
-so each bound is clipped to its row's support.  ``predictive_pmf`` cuts
-nothing, so its window is the whole support.
+so each bound is clipped to its row's support.  Each bound is read off a
+cumulative sum of its tail from its own end of the circle, which stops at
+the middle cell for every row whose tail it reaches by then, so most rows
+sum each tail over half the circle.  ``predictive_pmf`` cuts nothing, so
+its window is the whole support.
 """
 
 from __future__ import annotations
@@ -86,12 +89,15 @@ TRIM = 1e-15
 # Cell budget of one row chunk of exact_bounds: rows x the groups x the
 # circle of the widest convolution stage; laws are also placed on a circle
 # and transformed this many cells at a time.  A chunk holds a few arrays of
-# this many float64 cells (64 KiB each).  A balanced coverage case has one
-# four-way stage on a circle of 864 cells, so 9 rows a chunk.  When that
-# stage ran over 1,800 cells (4 rows a chunk), budgets up to 2^16 ran it
-# at most about 10% faster, and from 2^14 on they raised the peak memory
-# of a 4-case study by 1 MB or more.
-CHUNK_CELLS = 2**13
+# this many float64 cells (256 KiB each).  A balanced coverage case has one
+# four-way stage on a circle of 864 cells, so 37 rows a chunk.  On that
+# circle exact_bounds took 10.7-11.5 ms a case at 2^13 (9 rows a chunk),
+# 9.8-10.3 ms at 2^15 and 9.6-10.8 ms at 2^16 (medians of 9 runs over 8
+# cases of 500 rows, in 4 interleaved rounds, 2 vCPUs), and the peak RSS
+# of a 4-case study at 1 worker read 39.8-39.9 MB at 2^13, 39.7-39.8 MB at
+# 2^15 and 40.8 MB at 2^16.  Circles past 2^15 cells (K = 7 with 100 units
+# an arm) go one row a chunk.
+CHUNK_CELLS = 2**15
 
 # Upper bound on a Beta hyperparameter.  The exact law's log-ratios multiply
 # (N - n_j) by n_j^obs + alpha_j and by N - n_j^obs + beta_j; for every lattice
@@ -322,10 +328,28 @@ def _bounds(n, counts, signs, prior, level):
     for rows, offsets, pmfs in _effect_laws(n, counts, signs, prior, [TRIM * t for t in tails]):
         # CDF(i) >= q is tested as P(X <= i) >= q for the lower bound and as
         # P(X > i) <= 1 - q for the upper one, each tail summed from its own
-        # end
-        lower[rows] = offsets + (np.cumsum(pmfs, axis=1) >= tails[0]).argmax(axis=1)
-        at_least = np.cumsum(pmfs[:, ::-1], axis=1)[:, ::-1]  # P(X >= i)
-        upper[rows] = offsets + (at_least[:, 1:] > tails[1]).sum(axis=1)
+        # end, at first only as far as the middle cell.  cumsum adds in order,
+        # so each partial sum has the bits of the whole one, and the laws are
+        # clipped to >= 0, so the sums never fall: the lower bound is the first
+        # cell whose sum reaches its tail, the upper one the last cell i >= 1
+        # with P(X >= i) above its tail (else 0).  A row whose tail the half
+        # sum does not reach (a tiny tail, a level near 1, a skewed law) sums
+        # the whole circle for that tail.
+        size = pmfs.shape[1]
+        middle = size // 2
+        reached = np.cumsum(pmfs[:, : middle + 1], axis=1) >= tails[0]  # P(X <= i)
+        low = reached.argmax(axis=1)
+        short = ~reached[:, -1]
+        if short.any():
+            low[short] = (np.cumsum(pmfs[short], axis=1) >= tails[0]).argmax(axis=1)
+        # P(X >= i) > q for i from size - 1 down to the middle cell
+        above = np.cumsum(pmfs[:, middle:][:, ::-1], axis=1) > tails[1]
+        high = (size - 1) - above.argmax(axis=1)
+        short = ~above[:, -1]
+        if short.any():
+            above = np.cumsum(pmfs[short, ::-1], axis=1)[:, :-1] > tails[1]  # i >= 1
+            high[short] = above.sum(axis=1)
+        lower[rows], upper[rows] = offsets + low, offsets + high
     # past its support a row's circle holds only round-off and wrapped mass,
     # which can set a bound when a tail is that small: each bound is kept in
     # the row's support, and the upper one is never below the lower, though

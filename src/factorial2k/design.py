@@ -55,7 +55,9 @@ class IntervalReport:
     parameter ``rho`` (``None`` for a custom association matrix).  For
     quantile intervals the point need not sit midway.  The code that builds
     each report guarantees lower <= upper and a nonnegative variance, so
-    the report itself checks neither.
+    the report itself checks neither.  Its ``__init__`` sets the fields in
+    one update of the instance dict, which a frozen dataclass would set one
+    ``object.__setattr__`` at a time.
     """
 
     effect: int
@@ -67,6 +69,30 @@ class IntervalReport:
     method: str
     mc_draws: int | None = None
     rho: float | None = None
+
+    def __init__(
+        self,
+        effect: int,
+        point: float,
+        variance: float,
+        lower: float,
+        upper: float,
+        level: float,
+        method: str,
+        mc_draws: int | None = None,
+        rho: float | None = None,
+    ) -> None:
+        self.__dict__.update(
+            effect=effect,
+            point=point,
+            variance=variance,
+            lower=lower,
+            upper=upper,
+            level=level,
+            method=method,
+            mc_draws=mc_draws,
+            rho=rho,
+        )
 
     @property
     def width(self) -> float:

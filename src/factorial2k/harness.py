@@ -139,9 +139,10 @@ def coverage_experiment(
     """Replicate randomization + inference on one case; report coverage.
 
     :func:`replication_counts` draws the (R, J) success counts from the
-    case's cell counts, block q on child q of ``rng``'s PCG64
-    ``SeedSequence`` (``rng``'s spawn counter is left alone).  Each method
-    makes one (lower, upper) pair of (R,) arrays from them: Neyman from
+    case's cell counts, block q on a PCG64 stream from child q of the
+    ``SeedSequence`` that seeded ``rng``'s bit generator, of any kind
+    (``rng``'s spawn counter is left alone).  Each method makes one
+    (lower, upper) pair of (R,) arrays from them: Neyman from
     :meth:`ObservedData.rows`, which checks the array once, and one
     :func:`neyman.confidence_interval` per row, Bayes from one
     :func:`bayes.exact_bounds` call.  An interval covers when
@@ -150,14 +151,15 @@ def coverage_experiment(
     arms = check_arms(arms, case.n_units, 2**case.counts.k)
     check_replications(replications)
     methods = check_methods(methods, METHODS)
-    if not isinstance(rng.bit_generator, np.random.PCG64):
+    seed_seq = rng.bit_generator.seed_seq
+    if not isinstance(seed_seq, np.random.SeedSequence):
         kind = type(rng.bit_generator).__name__
-        raise ValueError(f"replication streams need a PCG64 generator, got {kind}")
+        raise ValueError(f"replication streams need a SeedSequence-seeded generator, got {kind} without one")
     matrix = build_model_matrix(case.counts.k)
     true_value = float(case.true_effects[l - 1])
 
     # read-only, so the Neyman datasets view its rows, not a copy
-    counts = replication_counts(case.counts, arms, rng.bit_generator.seed_seq, replications)
+    counts = replication_counts(case.counts, arms, seed_seq, replications)
     bounds = {}
     if "neyman" in methods:
         datasets = ObservedData.rows(case.counts.k, arms, counts)

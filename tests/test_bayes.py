@@ -400,6 +400,55 @@ class TestExactBounds:
                 report = exact_interval(ObservedData(k=k, n=n, n_obs=row), matrix, l, prior, 0.9)
                 assert (report.lower, report.upper) == bounds
 
+    @staticmethod
+    def whole_sum_bounds(n, counts, signs, prior, level):
+        """The bounds read off ``_effect_laws``' chunks with both tails summed
+        over each whole circle, clipped as ``_bounds`` clips them, and per
+        end how many rows have a tail that a sum only as far as the middle
+        cell does not reach."""
+        tails = ((1.0 - level) / 2.0, 1.0 - (1.0 + level) / 2.0)
+        lower, upper, short = [], [], np.zeros(2, dtype=int)
+        for _, offsets, pmfs in _effect_laws(n, counts, signs, prior, [TRIM * t for t in tails]):
+            at_most = np.cumsum(pmfs, axis=1)  # P(X <= i)
+            at_least = np.cumsum(pmfs[:, ::-1], axis=1)[:, ::-1]  # P(X >= i)
+            lower.extend(offsets + (at_most >= tails[0]).argmax(axis=1))
+            upper.extend(offsets + (at_least[:, 1:] > tails[1]).sum(axis=1))
+            middle = pmfs.shape[1] // 2
+            short += [(at_most[:, middle] < tails[0]).sum(), (at_least[:, middle] <= tails[1]).sum()]
+        missing = int(n.sum()) - n
+        first = (counts * signs).sum(axis=1) - (missing * (signs < 0)).sum()
+        lower = np.clip(lower, first, first + missing.sum())
+        return lower, np.clip(upper, lower, first + missing.sum()), short
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("budget", [1, CHUNK_CELLS])
+    def test_half_sums_give_the_whole_sums_bounds(self, monkeypatch, k, budget):
+        """Each tail is summed from its own end as far as the middle cell,
+        and over the whole circle only where that does not reach it: the
+        bounds are those of the two whole sums, bit for bit, at levels where
+        some rows need the whole sum at each end."""
+        monkeypatch.setattr(bayes, "CHUNK_CELLS", budget)
+        rng = np.random.default_rng(290 + k)
+        j = 2**k
+        n = rng.integers(2, 40 if k < 4 else 8, size=j)
+        matrix, prior = build_model_matrix(k), random_prior(rng, k)
+        short = np.zeros(2, dtype=int)
+        step = lattice_step(k, int(n.sum()))
+        for l in (1, j - 1):
+            signs = matrix.entries[:, l]
+            # the rows of a call share one circle, so skewed laws get calls of
+            # their own: every arm succeeds almost always where the sign is +1
+            # and almost never where it is -1, or the other way round
+            skewed = np.where(signs > 0, 0.98, 0.02)
+            for p in (rng.uniform(0.02, 0.98, size=(20, j)), skewed, 1 - skewed):
+                counts = rng.binomial(n, p, size=(20, j))
+                for level in (*TestTinyLevels.LEVELS, 1e-3, 0.5, 0.95, 1 - 1e-9):
+                    lower, upper, rows = self.whole_sum_bounds(n, counts, signs, prior, level)
+                    bounds = exact_bounds(n, counts, matrix, l, prior, level)
+                    assert [b.tolist() for b in bounds] == [(step * lower).tolist(), (step * upper).tolist()]
+                    short += rows
+        assert (short > 0).all(), short
+
     @pytest.mark.parametrize("bad", [11, -1])
     def test_rejects_counts_outside_their_arms(self, h2, bad):
         n, counts = np.full(4, 10), np.array([[1, 2, 3, 4], [5, 6, bad, 7], [bad, 0, 0, 0]])

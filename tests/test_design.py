@@ -1,9 +1,10 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from factorial2k.design import build_model_matrix, interaction_subsets
+from factorial2k.design import IntervalReport, build_model_matrix, interaction_subsets
 
 
 class TestBuildModelMatrix:
@@ -89,3 +90,27 @@ def test_interval_report_lives_in_design():
 
     assert neyman.IntervalReport is design.IntervalReport is factorial2k.IntervalReport
     assert design.IntervalReport.__module__ == "factorial2k.design"
+
+
+class TestIntervalReport:
+    FIELDS = dict(effect=2, point=0.1, variance=0.02, lower=-0.1, upper=0.3, level=0.9, method="neyman")
+
+    def test_positional_and_keyword_construction_agree(self):
+        by_name = IntervalReport(**self.FIELDS)
+        assert IntervalReport(*self.FIELDS.values()) == by_name
+        assert (by_name.mc_draws, by_name.rho) == (None, None)
+        full = IntervalReport(*self.FIELDS.values(), 500, 0.3)
+        assert full == IntervalReport(**self.FIELDS, mc_draws=500, rho=0.3) != by_name
+        assert dataclasses.asdict(full) == {**self.FIELDS, "mc_draws": 500, "rho": 0.3}
+        assert repr(full) == (
+            "IntervalReport(effect=2, point=0.1, variance=0.02, lower=-0.1, upper=0.3, "
+            "level=0.9, method='neyman', mc_draws=500, rho=0.3)"
+        )
+        assert full.width == 0.4
+
+    def test_fields_cannot_be_assigned(self):
+        report = IntervalReport(**self.FIELDS)
+        for name in [field.name for field in dataclasses.fields(IntervalReport)]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(report, name, 1)
+        assert report == IntervalReport(**self.FIELDS)

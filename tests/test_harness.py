@@ -588,11 +588,25 @@ class TestReplicationStreams:
         with pytest.raises(ResourceLimitError):
             StudyConfig.from_json(path)
 
-    def test_needs_a_pcg64_generator(self):
-        with pytest.raises(ValueError, match="need a PCG64 generator"):
+    @pytest.mark.parametrize("kind", [np.random.Philox, np.random.MT19937, np.random.SFC64])
+    def test_any_bit_generator_on_the_same_seed_sequence(self, kind):
+        """The replications are drawn from the SeedSequence alone, so every
+        kind of bit generator seeded by it gives the PCG64 generator's
+        reports."""
+        args = (toy_case(), np.array([10, 10, 10, 10]), 1, 300, 0.95, harness.METHODS)
+        seed_seq = np.random.SeedSequence(29, spawn_key=(1,))
+        expected = coverage_experiment(*args, np.random.Generator(np.random.PCG64(seed_seq)))
+        assert coverage_experiment(*args, np.random.Generator(kind(seed_seq))) == expected
+
+    def test_needs_a_seed_sequence(self):
+        """A RandomState seeds its MT19937 the legacy way, with no SeedSequence."""
+        legacy = np.random.RandomState(0)._bit_generator
+        assert legacy.seed_seq is None
+        message = "^replication streams need a SeedSequence-seeded generator, got MT19937 without one$"
+        with pytest.raises(ValueError, match=message):
             coverage_experiment(
                 toy_case(), np.array([10, 10, 10, 10]), 1, 5, 0.95, ["neyman"],
-                np.random.Generator(np.random.Philox(0)),
+                np.random.Generator(legacy),
             )
 
     def test_spawn_counter_not_advanced(self):
